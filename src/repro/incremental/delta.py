@@ -16,8 +16,10 @@ one only in the distances involving moved particles:
 
 which costs ``O(k * N)`` distance computations instead of ``O(N^2)`` —
 a win whenever ``k << N``, the regime of neighbouring frames.  All four
-correction terms are chunked numpy; the result is *exact* (tests assert
-integer equality with a from-scratch recomputation).
+correction terms go through the dense kernels of :mod:`repro.kernels`
+when the bucket spec is kernel-eligible (chunked numpy binning
+otherwise); the result is *exact* (tests assert integer equality with
+a from-scratch recomputation).
 """
 
 from __future__ import annotations
@@ -29,7 +31,12 @@ from ..core.histogram import DistanceHistogram
 from ..data.particles import ParticleSet
 from ..data.trajectory import Trajectory
 from ..errors import QueryError
-from ..geometry import iter_cross_distance_chunks, iter_self_distance_chunks
+from ..geometry import (
+    AABB,
+    iter_cross_distance_chunks,
+    iter_self_distance_chunks,
+)
+from ..kernels import fast_uniform_width, get_backend
 
 __all__ = ["IncrementalSDH", "update_histogram", "sdh_over_trajectory"]
 
@@ -58,11 +65,18 @@ def update_histogram(
     spec = histogram.spec
     static = old_positions[~moved]
     out = DistanceHistogram(spec, histogram.counts)
+    # Every distance of either frame lies within the joint bounding box.
+    reach = (
+        AABB.of_points(old_positions)
+        .union(AABB.of_points(new_positions))
+        .diagonal
+    )
+    width = fast_uniform_width(spec, reach)
 
     # Remove the moved particles' old contributions...
-    _apply(out, spec, old_positions[moved], static, sign=-1.0, policy=policy)
+    _apply(out, spec, old_positions[moved], static, -1.0, policy, width)
     # ...and add their new ones.
-    _apply(out, spec, new_positions[moved], static, sign=+1.0, policy=policy)
+    _apply(out, spec, new_positions[moved], static, +1.0, policy, width)
     return out
 
 
@@ -73,8 +87,20 @@ def _apply(
     static: np.ndarray,
     sign: float,
     policy: OverflowPolicy,
+    width: float | None,
 ) -> None:
-    """Add/subtract cross(moved, static) + intra(moved) contributions."""
+    """Add/subtract cross(moved, static) + intra(moved) contributions.
+
+    ``width`` is the kernel bucket width when ``spec`` is
+    kernel-eligible (see :func:`repro.kernels.fast_uniform_width`).
+    """
+    if width is not None:
+        backend = get_backend()
+        nbins = spec.num_buckets
+        cross, _ = backend.bin_dense_cross(moved, static, width, nbins)
+        intra, _ = backend.bin_dense_self(moved, width, nbins)
+        histogram.add_counts(sign * (cross + intra))
+        return
     for distances in iter_cross_distance_chunks(moved, static):
         histogram.add_counts(
             sign * spec.bin_counts_query(distances, policy=policy)

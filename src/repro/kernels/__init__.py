@@ -6,7 +6,7 @@ once the density-map frontier stops resolving cells.  This package
 isolates that loop behind a small backend API so it can be swapped for
 a compiled implementation:
 
-* :mod:`repro.kernels.numpy_backend` — the vectorized pure-numpy
+* :mod:`repro.kernels.numpy_backend` — the cache-tiled pure-numpy
   fallback, always available.  It performs exactly the float operations
   the engines used inline before this package existed, so results are
   bit-identical by construction.

@@ -45,6 +45,7 @@ __all__ = [
     "weight_ints",
     "zero_ints",
     "new_limbs",
+    "BINCOUNT_PAIRS",
     "scatter_products",
     "normalize_limbs",
     "limbs_to_ints",
@@ -112,6 +113,19 @@ def new_limbs(nbins: int) -> np.ndarray:
     return np.zeros((int(nbins), NLIMBS), dtype=np.int64)
 
 
+#: Most pairs one bincount pass of :func:`scatter_products` covers.  A
+#: pass adds one 28-bit piece of every pair's product to a slot no
+#: other piece of that pair touches, so every float64 slot sum stays
+#: below ``2**48`` — an exact integer, whatever order bincount adds in.
+BINCOUNT_PAIRS = 1 << 20
+
+#: Bit offsets of the four pieces of a product mantissa (see
+#: :func:`scatter_products`).
+_PIECE_BITS = 27
+_LOW_PIECE = (1 << _PIECE_BITS) - 1
+_TOP_PIECE = 3 * _PIECE_BITS
+
+
 def scatter_products(
     limbs: np.ndarray,
     bins: np.ndarray,
@@ -122,39 +136,86 @@ def scatter_products(
 ) -> None:
     """Add exact pair products ``a * b`` into per-bucket limb rows.
 
-    The 106-bit product mantissa is built from four 27x27-bit partial
-    products; each partial is split into three 32-bit pieces aligned to
-    its limb offset, so every arithmetic step stays inside int64 and is
-    exact.  Pure integer work — order cannot perturb the result.
+    Each signed 53-bit mantissa splits as ``hi * 2**27 + lo`` with
+    ``lo`` in ``[0, 2**27)`` (floor shift, so ``|hi| <= 2**26``); the
+    three partial products ``lo*lo``, ``lo*hi + hi*lo`` and ``hi*hi``
+    stay inside int64, and regrouped on a 27-bit grid they give four
+    pieces, each below ``2**28`` in magnitude, at bit offsets 0, 27, 54
+    and 81 above the pair's shift ``shift_a + shift_b``.
+
+    ``np.bincount`` then sums the pieces per ``(bin, shift)`` slot in
+    passes of at most :data:`BINCOUNT_PAIRS` pairs (exact, see there),
+    and only those few slot totals are carry-split into the signed
+    32-bit limb pieces of their ``(bin, limb)`` rows — so the per-pair
+    work has no variable shifts at all.  Pure integer arithmetic: order
+    cannot perturb the result.
+
+    The ``a`` and ``b`` operands broadcast against ``bins``: a dense
+    tile passes a column of row points and a row of column points.
     """
-    sign = np.where((mant_a < 0) != (mant_b < 0), np.int64(-1), np.int64(1))
-    sign[(mant_a == 0) | (mant_b == 0)] = 0
-    abs_a = np.abs(mant_a)
-    abs_b = np.abs(mant_b)
-    hi_a, lo_a = abs_a >> 27, abs_a & ((1 << 27) - 1)
-    hi_b, lo_b = abs_b >> 27, abs_b & ((1 << 27) - 1)
-    base = shift_a + shift_b
-    for partial, rel in (
-        (lo_a * lo_b, 0),
-        (lo_a * hi_b, 27),
-        (hi_a * lo_b, 27),
-        (hi_a * hi_b, 54),
-    ):
-        total_shift = base + rel
-        limb = total_shift >> 5
-        off = total_shift & 31
-        keep = 32 - off  # in [1, 32], so every shift below is < 64
-        low = (partial & ((np.int64(1) << keep) - 1)) << off
-        rest = partial >> keep
-        mid = rest & _MASK
-        high = rest >> LIMB_BITS
-        np.add.at(limbs, (bins, limb), sign * low)
-        np.add.at(limbs, (bins, limb + 1), sign * mid)
-        np.add.at(limbs, (bins, limb + 2), sign * high)
+    if not np.size(bins):
+        return
+    low_a, low_b = int(shift_a.min()), int(shift_b.min())
+    spread = int(shift_a.max()) - low_a + int(shift_b.max()) - low_b
+    width = spread + _TOP_PIECE + 1  # slots per bin: shifts + piece offsets
+    size = limbs.shape[0] * width
+    keys = (bins * width + ((shift_a - low_a) + (shift_b - low_b))).ravel()
+    hi_a, lo_a = mant_a >> _PIECE_BITS, mant_a & _LOW_PIECE
+    hi_b, lo_b = mant_b >> _PIECE_BITS, mant_b & _LOW_PIECE
+    p0 = (lo_a * lo_b).ravel()
+    p1 = (lo_a * hi_b + hi_a * lo_b).ravel()
+    p2 = (hi_a * hi_b).ravel()
+    pieces = (
+        p0 & _LOW_PIECE,
+        (p0 >> _PIECE_BITS) + (p1 & _LOW_PIECE),
+        (p1 >> _PIECE_BITS) + (p2 & _LOW_PIECE),
+        p2 >> _PIECE_BITS,
+    )
+    for start in range(0, keys.size, BINCOUNT_PAIRS):
+        part = slice(start, start + BINCOUNT_PAIRS)
+        sums = np.zeros(size + _TOP_PIECE)
+        for k, piece in enumerate(pieces):
+            at = k * _PIECE_BITS
+            sums[at : at + size] += np.bincount(
+                keys[part], piece[part], minlength=size
+            )
+        _add_at_shifts(
+            limbs, sums[:size].astype(np.int64).reshape(-1, width),
+            low_a + low_b,
+        )
+
+
+def _add_at_shifts(limbs: np.ndarray, totals: np.ndarray, lowest: int):
+    """Add ``totals[b, t] * 2**(lowest + t)`` into limb row ``b``.
+
+    Each total (``|total| < 2**48``) splits into a low, mid and high
+    limb piece, all below ``2**32`` in magnitude; at most 32 columns
+    share a limb, so the float64 bincount sums stay exact.
+    """
+    shifts = lowest + np.arange(totals.shape[1], dtype=np.int64)
+    off = shifts & 31
+    keep = 32 - off  # in [1, 32], so every shift below is < 64
+    rest = totals >> keep
+    slots = (
+        np.arange(totals.shape[0], dtype=np.int64)[:, None] * NLIMBS
+        + (shifts >> 5)
+    ).ravel()
+    pieces = (
+        (totals & ((np.int64(1) << keep) - 1)) << off,
+        rest & _MASK,
+        rest >> LIMB_BITS,
+    )
+    flat = np.zeros(limbs.size + 2)
+    for k, piece in enumerate(pieces):
+        flat[k : k + limbs.size] += np.bincount(
+            slots, piece.ravel(), minlength=limbs.size
+        )
+    limbs += flat[: limbs.size].astype(np.int64).reshape(limbs.shape)
 
 
 #: Pairs one limb array can absorb between normalizations without any
-#: risk of int64 overflow (4 partials x pieces < 2**32 each per pair).
+#: risk of int64 overflow (a pair's four product pieces add at most
+#: four limb pieces below 2**32 to any limb).
 SCATTER_LIMIT = 1 << 28
 
 

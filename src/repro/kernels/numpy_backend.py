@@ -1,22 +1,26 @@
 """Pure-numpy leaf-resolution backend (always available).
 
 Performs exactly the float operations the engines used inline before
-the kernel tier existed — elementwise delta, minimum-image wrap via
-``np.round`` (round-half-even), ordered per-axis sum of squares through
-``einsum``, ``sqrt``, then a clamped truncating division — so the
-histograms it produces are bit-identical to the historical engine
-output and serve as the reference the numba tier is verified against.
+the kernel tier existed — elementwise delta, minimum-image wrap
+``delta - L * round(delta / L)`` (round-half-even), per-axis sum of
+squares added in axis order, ``sqrt``, then a clamped truncating
+division — so the histograms it produces are bit-identical to the
+historical engine output and serve as the reference the numba tier is
+verified against.
+
+The dense sweeps walk cache-sized tiles of at most :data:`TILE_PAIRS`
+pairs.  Coordinates are read per axis from contiguous column arrays,
+and every step of the op sequence writes into tile buffers allocated
+once per call (``out=`` ufuncs), so a pair costs a handful of passes
+over L2-resident memory instead of passes over multi-megabyte panels.
+The weighted sweeps scatter one tile at a time, so no pair index array
+grows with the input.  See ``docs/KERNELS.md``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..geometry.distance import (
-    iter_cross_distance_chunks,
-    iter_self_distance_chunks,
-    minimum_image,
-)
 from . import exact
 
 __all__ = [
@@ -31,18 +35,164 @@ __all__ = [
 
 NAME = "numpy"
 
-#: Default row-panel size of the dense sweeps (matches the brute-force
-#: baseline's historical blocking).
+#: Default cap on the rows of one tile of the dense sweeps.  The
+#: gathered kernels accept ``chunk`` for signature parity and always
+#: batch :data:`TILE_PAIRS` pairs.
 DEFAULT_CHUNK = 2048
 
+#: Pairs per tile.  One float64 tile buffer is 512 KiB, so the buffers
+#: of a sweep stay resident in a 2 MiB L2.
+TILE_PAIRS = 1 << 16
 
-def _bin(distances: np.ndarray, width: float, nbins: int) -> np.ndarray:
-    # Truncation of a non-negative quotient == floor, and the clamp
-    # covers the topmost bucket edge — the same expression as
-    # UniformBuckets.bucket_of under the fast-binning eligibility
-    # condition (see kernels.fast_uniform_width).
-    idx = np.minimum((distances / width).astype(np.int64), nbins - 1)
-    return np.bincount(idx, minlength=nbins).astype(np.int64)
+
+# ----------------------------------------------------------------------
+# Tiles: the contract's op sequence in reused buffers
+# ----------------------------------------------------------------------
+
+
+class _Tile:
+    """Reused buffers of one sweep and the contract's op sequence.
+
+    Two float64 buffers hold the running sum of squares and the current
+    axis's delta (a third holds the minimum-image correction when the
+    query is periodic); one int64 buffer holds the bucket indices.
+    """
+
+    def __init__(
+        self, width: float, nbins: int, box_lengths: np.ndarray | None
+    ):
+        self.width = width
+        self.nbins = nbins
+        self.box = (
+            None
+            if box_lengths is None
+            else np.asarray(box_lengths, dtype=np.float64)
+        )
+        self._acc = np.empty(TILE_PAIRS)
+        self._delta = np.empty(TILE_PAIRS)
+        self._wrap = None if self.box is None else np.empty(TILE_PAIRS)
+        self._bins = np.empty(TILE_PAIRS, dtype=np.int64)
+
+    def bins(self, rows: list, cols: list, dump=None) -> np.ndarray:
+        """Bucket indices of the pairs ``rows[k] - cols[k]`` of one tile.
+
+        ``rows[k]`` and ``cols[k]`` hold axis ``k``'s coordinates and
+        broadcast against each other: a ``(r, 1)`` column against a
+        ``(1, c)`` row for a dense tile, two gathered ``(p,)`` arrays
+        for enumerated pairs.  Pairs where ``dump`` is true get index
+        ``nbins``, one past the last bucket.
+        """
+        shape = np.broadcast_shapes(rows[0].shape, cols[0].shape)
+        size = int(np.prod(shape))
+        acc = self._acc[:size].reshape(shape)
+        delta = self._delta[:size].reshape(shape)
+        for axis, (a, b) in enumerate(zip(rows, cols)):
+            out = acc if axis == 0 else delta
+            np.subtract(a, b, out=out)
+            if self.box is not None:
+                wrap = self._wrap[:size].reshape(shape)
+                length = self.box[axis]
+                np.divide(out, length, out=wrap)
+                np.rint(wrap, out=wrap)  # round-half-even, as np.round
+                np.multiply(wrap, length, out=wrap)
+                np.subtract(out, wrap, out=out)
+            np.multiply(out, out, out=out)
+            if axis:
+                np.add(acc, delta, out=acc)
+        np.sqrt(acc, out=acc)
+        np.divide(acc, self.width, out=acc)
+        # Truncation of a non-negative quotient == floor, and the clamp
+        # covers the topmost bucket edge — the same expression as
+        # UniformBuckets.bucket_of under the fast-binning eligibility
+        # condition (see kernels.fast_uniform_width).
+        bins = self._bins[:size].reshape(shape)
+        np.copyto(bins, acc, casting="unsafe")  # truncates, as astype
+        np.minimum(bins, self.nbins - 1, out=bins)
+        if dump is not None:
+            np.putmask(bins[:, : dump.shape[1]], dump, self.nbins)
+        return bins
+
+
+def _columns(positions: np.ndarray) -> list[np.ndarray]:
+    positions = np.asarray(positions, dtype=np.float64)
+    return [
+        np.ascontiguousarray(positions[:, axis])
+        for axis in range(positions.shape[1])
+    ]
+
+
+# Sweeps yield ``(bins, key_a, key_b)`` per tile: the tile's bucket
+# indices (a view of the tile buffer, overwritten by the next tile), and
+# the keys that index a per-point array of either operand into the
+# shape that broadcasts against ``bins`` (the weighted kernels gather
+# their weight mantissas with them).
+
+
+def _gathered_sweep(tile: _Tile, positions, idx_a, idx_b):
+    """Enumerated pairs, :data:`TILE_PAIRS` at a time.
+
+    Gathers read the strided axis views directly, so the caller's
+    positions are not copied per call.
+    """
+    axes = np.asarray(positions, dtype=np.float64).T
+    for start in range(0, idx_a.shape[0], TILE_PAIRS):
+        ia = idx_a[start : start + TILE_PAIRS]
+        ib = idx_b[start : start + TILE_PAIRS]
+        yield tile.bins([c[ia] for c in axes], [c[ib] for c in axes]), ia, ib
+
+
+def _self_sweep(tile: _Tile, positions: np.ndarray, chunk: int):
+    """Every pair ``i < j``, in tiles of at most ``chunk`` rows.
+
+    A row block ``[i0, i1)`` starts at column ``i0 + 1``, so the first
+    tile's leading ``r x (r - 1)`` block holds pairs ``j <= i``, which
+    are dumped.  Row blocks grow as the remaining columns shrink, so
+    tiles stay near :data:`TILE_PAIRS` pairs; ``r * r <= TILE_PAIRS``
+    bounds the dumped waste.
+    """
+    cols = _columns(positions)
+    n = len(positions)
+    i0 = 0
+    while i0 < n - 1:
+        remaining = n - i0
+        r = max(1, min(chunk, remaining, TILE_PAIRS // remaining))
+        step = TILE_PAIRS // r
+        rs = slice(i0, i0 + r)
+        dump = np.tri(r, r - 1, k=-1, dtype=bool) if r > 1 else None
+        for j0 in range(i0 + 1, n, step):
+            cs = slice(j0, j0 + step)
+            bins = tile.bins(
+                [c[rs, None] for c in cols], [c[None, cs] for c in cols], dump
+            )
+            yield bins, (rs, None), (None, cs)
+            dump = None
+        i0 += r
+
+
+def _cross_sweep(tile: _Tile, pos_a, pos_b, chunk: int):
+    """Every ``a x b`` pair, in tiles of at most ``chunk`` rows."""
+    cols_a = _columns(pos_a)
+    cols_b = _columns(pos_b)
+    na, nb = pos_a.shape[0], pos_b.shape[0]
+    if not (na and nb):
+        return
+    r = max(1, min(chunk, na, TILE_PAIRS // nb))
+    step = TILE_PAIRS // r
+    for i0 in range(0, na, r):
+        rs = slice(i0, i0 + r)
+        for j0 in range(0, nb, step):
+            cs = slice(j0, j0 + step)
+            bins = tile.bins(
+                [c[rs, None] for c in cols_a], [c[None, cs] for c in cols_b]
+            )
+            yield bins, (rs, None), (None, cs)
+
+
+def _histogram(tile: _Tile, sweep) -> np.ndarray:
+    hist = np.zeros(tile.nbins + 1, dtype=np.int64)
+    for bins, _, _ in sweep:
+        hist += np.bincount(bins.ravel(), minlength=tile.nbins + 1)
+    return hist[: tile.nbins]
 
 
 def bin_gathered_pairs(
@@ -55,11 +205,9 @@ def bin_gathered_pairs(
     chunk: int = DEFAULT_CHUNK,
 ) -> tuple[np.ndarray, int]:
     """Histogram the distances of explicitly enumerated index pairs."""
-    delta = positions[idx_a] - positions[idx_b]
-    if box_lengths is not None:
-        delta = minimum_image(delta, box_lengths)
-    distances = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-    return _bin(distances, width, nbins), int(distances.size)
+    tile = _Tile(width, nbins, box_lengths)
+    sweep = _gathered_sweep(tile, positions, idx_a, idx_b)
+    return _histogram(tile, sweep), int(idx_a.shape[0])
 
 
 def bin_dense_self(
@@ -70,14 +218,10 @@ def bin_dense_self(
     chunk: int = DEFAULT_CHUNK,
 ) -> tuple[np.ndarray, int]:
     """Histogram all ``n(n-1)/2`` intra-set distances."""
-    hist = np.zeros(nbins, dtype=np.int64)
-    total = 0
-    for distances in iter_self_distance_chunks(
-        positions, chunk=chunk, box_lengths=box_lengths
-    ):
-        hist += _bin(distances, width, nbins)
-        total += distances.size
-    return hist, total
+    tile = _Tile(width, nbins, box_lengths)
+    sweep = _self_sweep(tile, positions, chunk)
+    n = positions.shape[0]
+    return _histogram(tile, sweep), n * (n - 1) // 2
 
 
 def bin_dense_cross(
@@ -89,14 +233,9 @@ def bin_dense_cross(
     chunk: int = DEFAULT_CHUNK,
 ) -> tuple[np.ndarray, int]:
     """Histogram all ``len(a) * len(b)`` cross-set distances."""
-    hist = np.zeros(nbins, dtype=np.int64)
-    total = 0
-    for distances in iter_cross_distance_chunks(
-        pos_a, pos_b, chunk=chunk, box_lengths=box_lengths
-    ):
-        hist += _bin(distances, width, nbins)
-        total += distances.size
-    return hist, total
+    tile = _Tile(width, nbins, box_lengths)
+    sweep = _cross_sweep(tile, pos_a, pos_b, chunk)
+    return _histogram(tile, sweep), pos_a.shape[0] * pos_b.shape[0]
 
 
 # ----------------------------------------------------------------------
@@ -108,28 +247,26 @@ def bin_dense_cross(
 # ----------------------------------------------------------------------
 
 
-class _WeightScatter:
-    """Exact pair-product scatter with bounded-overflow normalization."""
+def _weighted(tile: _Tile, sweep, weights_a, weights_b=None) -> np.ndarray:
+    """Exact limb sums of ``w_a * w_b`` per bucket, one tile at a time.
 
-    def __init__(self, weights: np.ndarray, nbins: int):
-        self.mant, self.shift = exact.decompose(weights)
-        self.limbs = exact.new_limbs(nbins)
-        self._pending = 0
-
-    def add(self, bins: np.ndarray, idx_a: np.ndarray, idx_b: np.ndarray):
+    Limb row ``nbins`` collects the dumped pairs and is dropped.
+    """
+    mant_a, shift_a = exact.decompose(weights_a)
+    mant_b, shift_b = (
+        (mant_a, shift_a) if weights_b is None else exact.decompose(weights_b)
+    )
+    limbs = exact.new_limbs(tile.nbins + 1)
+    pending = 0
+    for bins, ka, kb in sweep:
         exact.scatter_products(
-            self.limbs, bins,
-            self.mant[idx_a], self.shift[idx_a],
-            self.mant[idx_b], self.shift[idx_b],
+            limbs, bins, mant_a[ka], shift_a[ka], mant_b[kb], shift_b[kb]
         )
-        self._pending += bins.size
-        if self._pending >= exact.SCATTER_LIMIT:
-            exact.normalize_limbs(self.limbs)
-            self._pending = 0
-
-
-def _bin_idx(distances: np.ndarray, width: float, nbins: int) -> np.ndarray:
-    return np.minimum((distances / width).astype(np.int64), nbins - 1)
+        pending += bins.size
+        if pending >= exact.SCATTER_LIMIT:
+            exact.normalize_limbs(limbs)
+            pending = 0
+    return limbs[: tile.nbins]
 
 
 def bin_gathered_pairs_weighted(
@@ -143,16 +280,9 @@ def bin_gathered_pairs_weighted(
     chunk: int = DEFAULT_CHUNK,
 ) -> tuple[np.ndarray, int]:
     """Weighted histogram of explicitly enumerated index pairs."""
-    scatter = _WeightScatter(weights, nbins)
-    for start in range(0, idx_a.shape[0], chunk):
-        ia = idx_a[start : start + chunk]
-        ib = idx_b[start : start + chunk]
-        delta = positions[ia] - positions[ib]
-        if box_lengths is not None:
-            delta = minimum_image(delta, box_lengths)
-        distances = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-        scatter.add(_bin_idx(distances, width, nbins), ia, ib)
-    return scatter.limbs, int(idx_a.shape[0])
+    tile = _Tile(width, nbins, box_lengths)
+    sweep = _gathered_sweep(tile, positions, idx_a, idx_b)
+    return _weighted(tile, sweep, weights), int(idx_a.shape[0])
 
 
 def bin_dense_self_weighted(
@@ -164,37 +294,10 @@ def bin_dense_self_weighted(
     chunk: int = DEFAULT_CHUNK,
 ) -> tuple[np.ndarray, int]:
     """Weighted histogram of all ``n(n-1)/2`` intra-set pairs."""
-    positions = np.asarray(positions, dtype=float)
+    tile = _Tile(width, nbins, box_lengths)
+    sweep = _self_sweep(tile, positions, chunk)
     n = positions.shape[0]
-    dim = positions.shape[1]
-    scatter = _WeightScatter(weights, nbins)
-    total = 0
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = positions[start:stop]
-        m = stop - start
-        if m >= 2:
-            iu, ju = np.triu_indices(m, k=1)
-            delta = block[iu] - block[ju]
-            if box_lengths is not None:
-                delta = minimum_image(delta, box_lengths)
-            distances = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-            scatter.add(
-                _bin_idx(distances, width, nbins), start + iu, start + ju
-            )
-            total += distances.size
-        for rstart in range(stop, n, chunk):
-            rstop = min(rstart + chunk, n)
-            rblock = positions[rstart:rstop]
-            delta = (block[:, None, :] - rblock[None, :, :]).reshape(-1, dim)
-            if box_lengths is not None:
-                delta = minimum_image(delta, box_lengths)
-            distances = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-            ia = np.repeat(np.arange(start, stop), rstop - rstart)
-            ib = np.tile(np.arange(rstart, rstop), m)
-            scatter.add(_bin_idx(distances, width, nbins), ia, ib)
-            total += distances.size
-    return scatter.limbs, total
+    return _weighted(tile, sweep, weights), n * (n - 1) // 2
 
 
 def bin_dense_cross_weighted(
@@ -208,34 +311,7 @@ def bin_dense_cross_weighted(
     chunk: int = DEFAULT_CHUNK,
 ) -> tuple[np.ndarray, int]:
     """Weighted histogram of all ``len(a) * len(b)`` cross-set pairs."""
-    pos_a = np.asarray(pos_a, dtype=float)
-    pos_b = np.asarray(pos_b, dtype=float)
-    mant_a, shift_a = exact.decompose(weights_a)
-    mant_b, shift_b = exact.decompose(weights_b)
-    limbs = exact.new_limbs(nbins)
-    pending = 0
-    total = 0
-    for astart in range(0, pos_a.shape[0], chunk):
-        astop = min(astart + chunk, pos_a.shape[0])
-        ablock = pos_a[astart:astop]
-        for bstart in range(0, pos_b.shape[0], chunk):
-            bstop = min(bstart + chunk, pos_b.shape[0])
-            bblock = pos_b[bstart:bstop]
-            delta = (ablock[:, None, :] - bblock[None, :, :]).reshape(
-                -1, pos_a.shape[1]
-            )
-            if box_lengths is not None:
-                delta = minimum_image(delta, box_lengths)
-            distances = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-            ia = np.repeat(np.arange(astart, astop), bstop - bstart)
-            ib = np.tile(np.arange(bstart, bstop), astop - astart)
-            exact.scatter_products(
-                limbs, _bin_idx(distances, width, nbins),
-                mant_a[ia], shift_a[ia], mant_b[ib], shift_b[ib],
-            )
-            pending += distances.size
-            total += distances.size
-            if pending >= exact.SCATTER_LIMIT:
-                exact.normalize_limbs(limbs)
-                pending = 0
-    return limbs, total
+    tile = _Tile(width, nbins, box_lengths)
+    sweep = _cross_sweep(tile, pos_a, pos_b, chunk)
+    limbs = _weighted(tile, sweep, weights_a, weights_b)
+    return limbs, pos_a.shape[0] * pos_b.shape[0]

@@ -408,6 +408,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-sdh"
     protocol_version = "HTTP/1.1"
+    # _send_bytes writes headers and body in two sends; with Nagle on,
+    # the body waits for the client's delayed ACK (~40 ms) whenever
+    # keep-alive requests arrive back to back.
+    disable_nagle_algorithm = True
 
     @property
     def state(self) -> _ServiceState:

@@ -3,13 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.core import UniformBuckets, brute_force_sdh
+from repro.core import (
+    CustomBuckets,
+    OverflowPolicy,
+    UniformBuckets,
+    brute_force_sdh,
+)
 from repro.data import (
     ParticleSet,
     random_walk_trajectory,
     uniform,
 )
 from repro.errors import QueryError
+from repro.kernels import get_backend
 from repro.incremental import (
     IncrementalSDH,
     sdh_over_trajectory,
@@ -116,6 +122,72 @@ class TestIncrementalSDH:
         inc = IncrementalSDH(spec, initial, base_histogram=base)
         with pytest.raises(QueryError):
             inc.advance(uniform(10, rng=rng))
+
+
+class TestKernelRouting:
+    """Eligible specs take the dense kernels; the rest stay on binning."""
+
+    @staticmethod
+    def _count_kernel_calls(monkeypatch):
+        backend = get_backend()
+        calls = []
+        for name in ("bin_dense_self", "bin_dense_cross"):
+            original = getattr(backend, name)
+
+            def wrapper(*args, _original=original, **kwargs):
+                calls.append(_original)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(backend, name, wrapper)
+        return calls
+
+    @staticmethod
+    def _moved(rng, positions, k):
+        new = positions.copy()
+        rows = rng.choice(positions.shape[0], size=k, replace=False)
+        new[rows] = rng.random((k, positions.shape[1]))
+        return new
+
+    def test_uniform_spec_uses_kernels_exactly(self, monkeypatch, rng):
+        old = rng.random((120, 3))
+        new = self._moved(rng, old, 9)
+        spec = UniformBuckets.with_count(np.sqrt(3.0), 7)
+        base = brute_force_sdh(old, spec=spec)
+        calls = self._count_kernel_calls(monkeypatch)
+        got = update_histogram(base, old, new)
+        assert len(calls) == 4  # cross + intra, removed then re-added
+        np.testing.assert_array_equal(
+            got.counts, brute_force_sdh(new, spec=spec).counts
+        )
+
+    def test_custom_buckets_stay_on_binning(self, monkeypatch, rng):
+        old = rng.random((100, 2))
+        new = self._moved(rng, old, 7)
+        spec = CustomBuckets([0.0, 0.1, 0.3, 0.7, 1.5])
+        base = brute_force_sdh(old, spec=spec)
+        calls = self._count_kernel_calls(monkeypatch)
+        got = update_histogram(base, old, new)
+        assert calls == []
+        np.testing.assert_array_equal(
+            got.counts, brute_force_sdh(new, spec=spec).counts
+        )
+
+    def test_reach_covers_both_frames(self, monkeypatch, rng):
+        # The new frame stretches past a spec sized for the old one:
+        # the joint box makes it ineligible, so the overflow policy
+        # still decides where the long distances go.
+        old = rng.random((80, 2))
+        new = old.copy()
+        new[0] = (3.0, 3.0)
+        spec = UniformBuckets.with_count(np.sqrt(2.0), 5)
+        clamp = OverflowPolicy.CLAMP
+        base = brute_force_sdh(old, spec=spec, policy=clamp)
+        calls = self._count_kernel_calls(monkeypatch)
+        got = update_histogram(base, old, new, policy=clamp)
+        assert calls == []
+        np.testing.assert_array_equal(
+            got.counts, brute_force_sdh(new, spec=spec, policy=clamp).counts
+        )
 
 
 class TestTrajectoryHelper:

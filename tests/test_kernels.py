@@ -6,6 +6,8 @@ equality against it.  Engine-integration parity pins ``kernel=`` through
 ``compute_sdh`` and checks the histograms never move.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,7 @@ from repro.kernels import (
     get_backend,
     resolve_kernel,
 )
-from repro.kernels import exact
+from repro.kernels import exact, numpy_backend
 
 NBINS = 12
 
@@ -57,17 +59,29 @@ def _spec_for(data):
     return UniformBuckets.with_count(data.max_possible_distance, NBINS)
 
 
-def _reference_self(positions, width, nbins, box_lengths=None):
-    """Unchunked O(n^2) reference with the contract's op sequence."""
-    n = positions.shape[0]
-    idx_a, idx_b = np.triu_indices(n, k=1)
-    delta = positions[idx_a] - positions[idx_b]
+def _reference_hist(delta, width, nbins, box_lengths):
+    """The contract's op sequence on an ``(n, d)`` delta array."""
     if box_lengths is not None:
         lengths = np.asarray(box_lengths, dtype=np.float64)
         delta = delta - lengths * np.round(delta / lengths)
     distances = np.sqrt(np.einsum("ij,ij->i", delta, delta))
     bins = np.minimum((distances / width).astype(np.int64), nbins - 1)
     return np.bincount(bins, minlength=nbins).astype(np.int64), distances.size
+
+
+def _reference_self(positions, width, nbins, box_lengths=None):
+    """Unchunked O(n^2) reference with the contract's op sequence."""
+    idx_a, idx_b = np.triu_indices(positions.shape[0], k=1)
+    delta = positions[idx_a] - positions[idx_b]
+    return _reference_hist(delta, width, nbins, box_lengths)
+
+
+def _reference_cross(pos_a, pos_b, width, nbins, box_lengths=None):
+    """Unchunked reference for all ``len(a) * len(b)`` pairs."""
+    delta = (pos_a[:, None, :] - pos_b[None, :, :]).reshape(
+        -1, pos_a.shape[1]
+    )
+    return _reference_hist(delta, width, nbins, box_lengths)
 
 
 class TestResolution:
@@ -198,6 +212,113 @@ class TestNumpyBackend:
             np.zeros((0, 3)), one, 1.0, NBINS
         )
         assert total == 0 and not hist.any()
+
+
+def _cloud(n, dim, seed, periodic):
+    """Points in a box of side 2 (wrapped when periodic) and a width."""
+    positions = np.random.default_rng(seed).random((n, dim)) * 2.0
+    lengths = np.full(dim, 2.0) if periodic else None
+    reach = np.sqrt(dim) * (1.0 if periodic else 2.0)
+    return positions, lengths, reach / NBINS
+
+
+class TestTiledSweeps:
+    """Bit-identity of the tiled dense sweeps at tile edges.
+
+    With ``n`` points a self sweep uses ``TILE_PAIRS // n`` rows per
+    tile (capped by ``chunk``) until the remaining rows fit one square
+    tile; ``sqrt(TILE_PAIRS)`` is where the whole input is one tile.
+    """
+
+    SIDE = int(np.sqrt(numpy_backend.TILE_PAIRS))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_self_around_one_square_tile(self, dim, periodic, offset):
+        n = self.SIDE + offset
+        positions, lengths, width = _cloud(n, dim, 100 + n, periodic)
+        expected, npairs = _reference_self(positions, width, NBINS, lengths)
+        for chunk in (numpy_backend.DEFAULT_CHUNK, 17, 1):
+            hist, total = numpy_backend.bin_dense_self(
+                positions, width, NBINS, lengths, chunk=chunk
+            )
+            np.testing.assert_array_equal(hist, expected)
+            assert total == npairs
+
+    @pytest.mark.parametrize("tile", [16, 64])
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65])
+    def test_self_around_row_and_column_counts(self, monkeypatch, tile, n):
+        # Small tiles put every row/column boundary case in reach: n
+        # equal to, one below and one above a tile's rows or columns.
+        monkeypatch.setattr(numpy_backend, "TILE_PAIRS", tile)
+        for dim, periodic in ((1, False), (2, True), (3, False)):
+            positions, lengths, width = _cloud(n, dim, n * dim, periodic)
+            expected, npairs = _reference_self(
+                positions, width, NBINS, lengths
+            )
+            for chunk in (1, 2, 3, numpy_backend.DEFAULT_CHUNK):
+                hist, total = numpy_backend.bin_dense_self(
+                    positions, width, NBINS, lengths, chunk=chunk
+                )
+                np.testing.assert_array_equal(hist, expected)
+                assert total == npairs
+            # Gathered pairs are tiled by TILE_PAIRS too.
+            idx_a, idx_b = np.triu_indices(n, k=1)
+            hist, _ = numpy_backend.bin_gathered_pairs(
+                positions, idx_a, idx_b, width, NBINS, lengths
+            )
+            np.testing.assert_array_equal(hist, expected)
+
+    @pytest.mark.parametrize(
+        "na, nb",
+        [(3, 70_000), (70_000, 3), (1, 1), (255, 257), (257, 255)],
+    )
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_cross_lopsided_and_edge_shapes(self, na, nb, periodic):
+        # 70_000 columns exceed one tile's width, so a single row spans
+        # two tiles; 70_000 rows take many row blocks of few columns.
+        pos_a, lengths, width = _cloud(na, 2, na, periodic)
+        pos_b, _, _ = _cloud(nb, 2, nb + 1, periodic)
+        expected, npairs = _reference_cross(
+            pos_a, pos_b, width, NBINS, lengths
+        )
+        for chunk in (numpy_backend.DEFAULT_CHUNK, 7):
+            hist, total = numpy_backend.bin_dense_cross(
+                pos_a, pos_b, width, NBINS, lengths, chunk=chunk
+            )
+            np.testing.assert_array_equal(hist, expected)
+            assert total == npairs == na * nb
+
+    @pytest.mark.parametrize("tile", [16, 64])
+    def test_cross_around_row_and_column_counts(self, monkeypatch, tile):
+        monkeypatch.setattr(numpy_backend, "TILE_PAIRS", tile)
+        for na in (1, 3, 4, 5, 15, 16, 17):
+            for nb in (1, 3, 4, 5, 15, 16, 17, 63, 64, 65):
+                pos_a, lengths, width = _cloud(na, 3, na, True)
+                pos_b, _, _ = _cloud(nb, 3, 50 + nb, True)
+                expected, _ = _reference_cross(
+                    pos_a, pos_b, width, NBINS, lengths
+                )
+                for chunk in (1, 4, numpy_backend.DEFAULT_CHUNK):
+                    hist, _ = numpy_backend.bin_dense_cross(
+                        pos_a, pos_b, width, NBINS, lengths, chunk=chunk
+                    )
+                    np.testing.assert_array_equal(hist, expected)
+
+    def test_self_peak_memory_is_bounded(self):
+        # The sweep allocates tile buffers, not panels: the traced peak
+        # stays under a bound set by TILE_PAIRS alone, whatever n is.
+        bound = 6 * numpy_backend.TILE_PAIRS * 8
+        for n in (1500, 6000):
+            positions, _, width = _cloud(n, 2, n, False)
+            tracemalloc.start()
+            try:
+                numpy_backend.bin_dense_self(positions, width, NBINS)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (n, peak)
 
 
 @numba_only
@@ -376,7 +497,9 @@ class TestWeightedKernelProperties:
     @given(_weighted_cloud(), st.integers(min_value=1, max_value=20))
     def test_power_of_two_scaling_is_exact(self, cloud, exponent):
         # Bilinearity on an exactly-representable scalar: scaling the
-        # weights by 2^j scales every bucket by 2^(2j), bit for bit.
+        # weights by 2^j scales every exact bucket integer by 2^(2j).
+        # Asserted before rounding: a subnormal bucket is rounded at
+        # subnormal precision, so the rounded results need not scale.
         positions, weights = cloud
         factor = float(2.0**exponent)
         backend = get_backend("numpy")
@@ -386,9 +509,10 @@ class TestWeightedKernelProperties:
         scaled, _ = backend.bin_dense_self_weighted(
             positions, weights * factor, 0.25, NBINS
         )
-        np.testing.assert_array_equal(
-            _finalized(scaled), _finalized(base) * factor * factor
-        )
+        assert list(exact.limbs_to_ints(scaled)) == [
+            value << (2 * exponent)
+            for value in exact.limbs_to_ints(base)
+        ]
 
     @settings(max_examples=30, deadline=None)
     @given(_weighted_cloud(min_size=4))
@@ -433,6 +557,91 @@ class TestWeightedKernelProperties:
         np.testing.assert_array_equal(
             exact.limbs_to_ints(gathered), exact.limbs_to_ints(dense)
         )
+
+
+def _exact_self_reference(positions, weights, width, nbins):
+    """Per-bucket exact integer sums via Python ints, pair by pair."""
+    idx_a, idx_b = np.triu_indices(positions.shape[0], k=1)
+    delta = positions[idx_a] - positions[idx_b]
+    distances = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+    bins = np.minimum((distances / width).astype(np.int64), nbins - 1)
+    ints = exact.weight_ints(weights)
+    totals = [0] * nbins
+    for b, i, j in zip(bins.tolist(), idx_a.tolist(), idx_b.tolist()):
+        totals[b] += ints[i] * ints[j]
+    return totals
+
+
+class TestWeightedScatter:
+    """The bincount scatter is exact across passes and tiles."""
+
+    @pytest.mark.parametrize("pass_pairs", [1, 5, 64])
+    def test_exact_across_bincount_passes(self, monkeypatch, pass_pairs):
+        rng = np.random.default_rng(pass_pairs)
+        positions = rng.random((40, 2))
+        # Mixed signs, zeros, subnormals and extreme exponents in one
+        # pass, so slot sums carry across limbs and pieces go negative.
+        weights = rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, 40)
+        weights[::7] = 0.0
+        weights[3] = 5e-324
+        weights[4] = -np.finfo(np.float64).max
+        expected = _exact_self_reference(positions, weights, 0.25, NBINS)
+        monkeypatch.setattr(exact, "BINCOUNT_PAIRS", pass_pairs)
+        for chunk in (3, numpy_backend.DEFAULT_CHUNK):
+            limbs, total = numpy_backend.bin_dense_self_weighted(
+                positions, weights, 0.25, NBINS, chunk=chunk
+            )
+            assert list(exact.limbs_to_ints(limbs)) == expected
+            assert total == 40 * 39 // 2
+
+    def test_exact_across_tiles(self, monkeypatch):
+        monkeypatch.setattr(numpy_backend, "TILE_PAIRS", 16)
+        rng = np.random.default_rng(3)
+        positions = rng.random((33, 3))
+        weights = rng.uniform(-2.0, 2.0, 33)
+        expected = _exact_self_reference(positions, weights, 0.25, NBINS)
+        limbs, _ = numpy_backend.bin_dense_self_weighted(
+            positions, weights, 0.25, NBINS
+        )
+        assert list(exact.limbs_to_ints(limbs)) == expected
+        idx_a, idx_b = np.triu_indices(33, k=1)
+        gathered, _ = numpy_backend.bin_gathered_pairs_weighted(
+            positions, weights, idx_a, idx_b, 0.25, NBINS
+        )
+        assert list(exact.limbs_to_ints(gathered)) == expected
+        cut = 20
+        cross, _ = numpy_backend.bin_dense_cross_weighted(
+            positions[:cut], positions[cut:],
+            weights[:cut], weights[cut:], 0.25, NBINS,
+        )
+        ha, _ = numpy_backend.bin_dense_self_weighted(
+            positions[:cut], weights[:cut], 0.25, NBINS
+        )
+        hb, _ = numpy_backend.bin_dense_self_weighted(
+            positions[cut:], weights[cut:], 0.25, NBINS
+        )
+        assert list(
+            exact.limbs_to_ints(ha)
+            + exact.limbs_to_ints(hb)
+            + exact.limbs_to_ints(cross)
+        ) == expected
+
+    def test_weighted_peak_memory_is_bounded(self):
+        # One tile's scatter temporaries, never an index array per pair.
+        bound = 16 * numpy_backend.TILE_PAIRS * 8
+        rng = np.random.default_rng(5)
+        for n in (500, 2000):
+            positions = rng.random((n, 2))
+            weights = rng.uniform(0.5, 2.0, n)
+            tracemalloc.start()
+            try:
+                numpy_backend.bin_dense_self_weighted(
+                    positions, weights, 0.25, NBINS
+                )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (n, peak)
 
 
 @numba_only

@@ -1,5 +1,6 @@
 """End-to-end tests for the SDH query service over localhost HTTP."""
 
+import socket
 import threading
 
 import numpy as np
@@ -43,6 +44,26 @@ class TestLifecycle:
             client._request("GET", "/v1/nope")
         with pytest.raises(ServiceError, match="no such route"):
             client._request("POST", "/v1/nope", {})
+
+    def test_accepted_sockets_disable_nagle(self, monkeypatch, client):
+        # Headers and body go out in two sends; with Nagle on, a
+        # back-to-back keep-alive request stalls on the delayed ACK.
+        from repro.service import server
+
+        seen = []
+        original = server._Handler.setup
+
+        def setup(handler):
+            original(handler)
+            seen.append(
+                handler.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+            )
+
+        monkeypatch.setattr(server._Handler, "setup", setup)
+        assert client.health()
+        assert seen and all(seen)
 
     def test_config_or_overrides_not_both(self):
         with pytest.raises(ServiceError):
