@@ -86,34 +86,10 @@ def brute_force_sdh(
     weights = (
         particles.weights if isinstance(particles, ParticleSet) else None
     )
-    histogram = DistanceHistogram(spec)
-    if weights is not None:
-        accum = WeightedAccumulator(spec, policy)
-        if fast_width is not None:
-            limbs, computed = backend.bin_dense_self_weighted(
-                positions, weights, fast_width, spec.num_buckets,
-                box_lengths, chunk=chunk,
-            )
-            accum.add_limbs(limbs, computed)
-        else:
-            computed = _slow_weighted_self(
-                positions, weights, accum, box_lengths, chunk
-            )
-        accum.finalize_into(histogram)
-    elif fast_width is not None:
-        hist, computed = backend.bin_dense_self(
-            positions, fast_width, spec.num_buckets, box_lengths, chunk=chunk
-        )
-        histogram.counts += hist
-    else:
-        computed = 0
-        for distances in iter_self_distance_chunks(
-            positions, chunk=chunk, box_lengths=box_lengths
-        ):
-            histogram.add_counts(
-                spec.bin_counts_query(distances, policy=policy)
-            )
-            computed += distances.size
+    histogram, computed = sweep_self(
+        positions, weights, spec, policy, fast_width, box_lengths, backend,
+        chunk,
+    )
     if stats is not None:
         stats.distance_computations += computed
     return histogram
@@ -156,9 +132,82 @@ def brute_force_cross_sdh(
 
     weights_a = a.weights if isinstance(a, ParticleSet) else None
     weights_b = b.weights if isinstance(b, ParticleSet) else None
-    weighted = weights_a is not None or weights_b is not None
+    histogram, computed = sweep_cross(
+        pos_a, pos_b, weights_a, weights_b, spec, policy, fast_width,
+        box_lengths, backend, chunk,
+    )
+    if stats is not None:
+        stats.distance_computations += computed
+    return histogram
+
+
+def sweep_self(
+    positions: np.ndarray,
+    weights: np.ndarray | None,
+    spec: BucketSpec,
+    policy: OverflowPolicy,
+    fast_width: float | None,
+    box_lengths: np.ndarray | None,
+    backend,
+    chunk: int,
+) -> tuple[DistanceHistogram, int]:
+    """Histogram of every intra-set distance, and the distance count.
+
+    The kernel tier bins when ``fast_width`` (see
+    :func:`~repro.kernels.fast_uniform_width`) allows it; custom
+    buckets, ``low > 0`` and the overflow policy take the inline path.
+    Shared by brute force and the grid engine's whole-set sweep.
+    """
     histogram = DistanceHistogram(spec)
-    if weighted:
+    if weights is not None:
+        accum = WeightedAccumulator(spec, policy)
+        if fast_width is not None:
+            limbs, computed = backend.bin_dense_self_weighted(
+                positions, weights, fast_width, spec.num_buckets,
+                box_lengths, chunk=chunk,
+            )
+            accum.add_limbs(limbs, computed)
+        else:
+            computed = _slow_weighted_self(
+                positions, weights, accum, box_lengths, chunk
+            )
+        accum.finalize_into(histogram)
+    elif fast_width is not None:
+        hist, computed = backend.bin_dense_self(
+            positions, fast_width, spec.num_buckets, box_lengths, chunk=chunk
+        )
+        histogram.counts += hist
+    else:
+        computed = 0
+        for distances in iter_self_distance_chunks(
+            positions, chunk=chunk, box_lengths=box_lengths
+        ):
+            histogram.add_counts(
+                spec.bin_counts_query(distances, policy=policy)
+            )
+            computed += distances.size
+    return histogram, int(computed)
+
+
+def sweep_cross(
+    pos_a: np.ndarray,
+    pos_b: np.ndarray,
+    weights_a: np.ndarray | None,
+    weights_b: np.ndarray | None,
+    spec: BucketSpec,
+    policy: OverflowPolicy,
+    fast_width: float | None,
+    box_lengths: np.ndarray | None,
+    backend,
+    chunk: int,
+) -> tuple[DistanceHistogram, int]:
+    """Histogram of every cross-set distance, and the distance count.
+
+    The cross counterpart of :func:`sweep_self`; when only one side is
+    weighted, the other side's weights are 1.
+    """
+    histogram = DistanceHistogram(spec)
+    if weights_a is not None or weights_b is not None:
         if weights_a is None:
             weights_a = np.ones(pos_a.shape[0])
         if weights_b is None:
@@ -191,9 +240,7 @@ def brute_force_cross_sdh(
                 spec.bin_counts_query(distances, policy=policy)
             )
             computed += distances.size
-    if stats is not None:
-        stats.distance_computations += computed
-    return histogram
+    return histogram, int(computed)
 
 
 def _slow_weighted_self(

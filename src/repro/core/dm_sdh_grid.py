@@ -17,7 +17,13 @@ bit-identical to the naive formulation, which the test suite checks):
   a single gather;
 * **index-space expansion** — unresolved pairs are refined by integer
   index arithmetic (``child = 2 * parent + offset``) without en-/
-  decoding flat cell ids per level.
+  decoding flat cell ids per level;
+* **dense level** — exact runs stop refining at the level where a cell
+  holds about :data:`DENSE_BETA` particles instead of the paper's
+  ``2^d + 1``, and bin each still-open cell pair as a tile of two
+  contiguous particle slices (:meth:`GridPyramid.layout`).  When the
+  maps above it cannot settle enough distances to pay for that, the
+  run is one dense sweep of the whole set.
 
 The same engine runs the approximate ADM-SDH of Sec. V: a ``stop``
 parameter bounds how many density maps are visited, and the pairs still
@@ -36,20 +42,55 @@ import numpy as np
 from ..data.particles import ParticleSet
 from ..errors import DistanceOverflowError, QueryError
 from ..geometry import box_pair_bounds
-from ..kernels import exact, expand_products, fast_uniform_width, get_backend
+from ..geometry.distance import minimum_image
+from ..kernels import exact, fast_uniform_width, get_backend, numpy_backend
 from ..quadtree.grid import GridPyramid
+from ..quadtree.tree import tree_height
+from .brute_force import sweep_cross, sweep_self
 from .buckets import BucketSpec, OverflowPolicy, UniformBuckets
 from .heuristics import AllocationContext, Allocator
 from .histogram import DistanceHistogram
 from .instrumentation import SDHStats
 from .weighted import WeightedAccumulator
 
-__all__ = ["GridSDHEngine", "dm_sdh_grid"]
+__all__ = ["DENSE_BETA", "GridSDHEngine", "dense_level", "dm_sdh_grid"]
 
 #: Default ceiling on the number of cell pairs processed per batch.
 DEFAULT_PAIR_CHUNK = 1 << 21
-#: Default ceiling on particle-pair distances materialized per batch.
-DEFAULT_DISTANCE_CHUNK = 1 << 22
+#: Default cap on the rows of one dense distance tile (the kernels'
+#: ``chunk``, and the block size of the inline slow path).
+DEFAULT_DISTANCE_CHUNK = 2048
+
+#: Leaf occupancy beta of Eq. (2), in 2D, for the level where exact
+#: runs stop refining cell pairs and compute distances (the dense
+#: level); ``d``-dimensional data uses ``DENSE_BETA * 2**(d - 2)``.
+#:
+#: Refining an open cell pair one level costs ``4^d`` resolve calls and
+#: settles about half of its ``n^2`` distances (Lemma 1), so it pays
+#: while ``4^d * c_resolve < n^2 / 2 * c_distance``: while cells hold
+#: more than ``n* = sqrt(2 * 4^d * c_resolve / c_distance)`` particles.
+#: Eq. (2) with ``beta = n*`` stops at the first level whose occupancy
+#: is at most ``n*``.  ``n*`` grows as ``2^d``, like the paper's
+#: ``2^d + 1``, which assumes ``c_resolve`` near ``c_distance`` (its C
+#: code).  Here a vectorized resolve with its child expansion costs
+#: about 0.28 us per examined pair and a slice-tile distance about
+#: 11 ns (2D uniform, N = 24000, 2-core Xeon); the ratio of about 25
+#: gives ``n*`` of 28 in 2D and 57 in 3D.  Small slices cost more per
+#: distance; ``benchmarks/bench_ablation_beta.py`` measures 32 fastest
+#: in 2D at N = 6000, 12000 and 24000 (occupancy 23, 12, 23); 8 and
+#: 128 are 1.1x to 2.5x slower.  In 3D at l = 4 the 3D beta of 64 puts
+#: the dense level one map below the start map, so runs sweep densely
+#: (see ``refines_from``); refining one map further took 1.8x as long
+#: (N = 24000).  The pyramid keeps the paper's beta, so ADM-SDH's
+#: levels are unchanged.
+DENSE_BETA = 32.0
+
+
+def dense_level(n: int, dim: int) -> int:
+    """The level exact runs resolve with distances: Eq. (2)'s leaf
+    level for :data:`DENSE_BETA` (callers cap it at the pyramid leaf)."""
+    return tree_height(max(int(n), 1), dim, DENSE_BETA * 2 ** (dim - 2)) - 1
+
 
 # Offset-class statuses.
 _RESOLVED = 0
@@ -207,10 +248,15 @@ class GridSDHEngine:
             if self.periodic
             else None
         )
+        #: The level whose open cell pairs are resolved by distances.
+        self.dense_level = min(
+            pyramid.leaf_level,
+            dense_level(self.particles.size, pyramid.dim),
+        )
         #: Optional observer called with (a_ids, b_ids) for every batch
-        #: of leaf-cell pairs whose distances are computed directly —
-        #: the access pattern the storage layer replays to count I/O
-        #: (Sec. IV-B).  Intra-cell leaf scans report pairs (c, c).
+        #: of dense-level cell pairs whose distances are computed — the
+        #: access pattern the storage layer replays to count I/O
+        #: (Sec. IV-B).  Intra-cell scans report pairs (c, c).
         self.on_leaf_pairs: (
             "callable[[np.ndarray, np.ndarray], None] | None"
         ) = None
@@ -246,12 +292,12 @@ class GridSDHEngine:
             if self.cross_split is None
             else pyramid.order >= self.cross_split
         )
-        self._w_sorted = (
-            self.particles.weights[pyramid.order] if self.weighted else None
+        self._w_obj = (
+            exact.weight_ints(self.particles.weights)
+            if self.weighted
+            else None
         )
-        self._w_obj_sorted = (
-            exact.weight_ints(self._w_sorted) if self.weighted else None
-        )
+        self._dense_weights: np.ndarray | None = None
         self._wsum_levels: "list[np.ndarray] | None" = None
         self._side_wsum_levels: (
             "tuple[list[np.ndarray], list[np.ndarray]] | None"
@@ -266,15 +312,41 @@ class GridSDHEngine:
         """Whether this run is ADM-SDH (no distance ever computed)."""
         return self.allocator is not None
 
+    def refines_from(self, start: int) -> bool:
+        """Whether an exact run starting on map ``start`` refines cell
+        pairs down to the dense level, rather than sweeping every pair.
+
+        The dense level must lie at least two maps below the start map:
+        cell pairs of the first map below it span about one bucket
+        width and settle only 11-15% of the distances in 2D (14% in 3D),
+        less than the slice tiles cost over one dense sweep.  Measured
+        on uniform and Zipf data at l = 4 to 16 and N = 6000 to 24000,
+        grid took 1.3x to 2.0x brute's time with the dense level one map
+        down, 0.7x to 1.1x with it two maps down, and 0.35x to 0.6x with
+        it three down.
+        """
+        return start + 2 <= self.dense_level
+
     def run(self) -> DistanceHistogram:
-        """Execute the algorithm and return the histogram."""
+        """Execute the algorithm and return the histogram.
+
+        Exact runs visit the maps from the start level down to the
+        dense level (see :meth:`refines_from`); otherwise, and when
+        there is no start level, every distance is computed in one
+        dense sweep.  ADM-SDH visits at most ``stop_after_levels`` maps
+        below the start map.
+        """
         start = self._start_level()
-        self.stats.start_level = start
-        leaf = self.pyramid.leaf_level
-        if self.stop_after_levels is None:
-            last_level = leaf
+        if self.approximate:
+            last_level = min(
+                self.pyramid.leaf_level, start + self.stop_after_levels
+            )
+        elif not self.refines_from(start):
+            self._dense_sweep()
+            return self.histogram
         else:
-            last_level = min(leaf, start + self.stop_after_levels)
+            last_level = self.dense_level
+        self.stats.start_level = start
         self.stats.levels_visited = last_level - start + 1
 
         self._intra_cell(start)
@@ -318,22 +390,29 @@ class GridSDHEngine:
         """Fully resolve one batch of same-level cell pairs.
 
         Picks up the algorithm mid-descent: the pairs are processed at
-        ``level`` and their unresolved children drained down to the leaf
-        map exactly as :meth:`run` would have.  Counts accumulate into
-        :attr:`histogram` / :attr:`stats`; a parallel worker calls this
-        for its shard of the frontier and ships both back for merging.
+        ``level`` and their unresolved children drained down to the
+        dense level exactly as :meth:`run` would have.  Counts accumulate
+        into :attr:`histogram` / :attr:`stats`; a parallel worker calls
+        this for its shard of the frontier and ships both back for
+        merging.
         """
-        last_level = self.pyramid.leaf_level
-        self._drain(level, iter([(idx_a, idx_b)]), last_level)
+        self._drain(level, iter([(idx_a, idx_b)]), self.dense_level)
 
-    def process_intra_cells(self, cells: np.ndarray) -> None:
-        """Compute intra-cell leaf distances for the given cells only.
+    def process_dense_rows(self, begin: int, end: int) -> None:
+        """Bin the pairs ``(i, j)`` with ``begin <= i < end`` and ``i < j``.
 
-        The parallel engine shards the leaf cells of an oversized first
-        map (where :meth:`run` would call ``_intra_leaf_distances`` for
-        all of them) across workers.
+        The rows of the whole-set dense sweep that :meth:`run` does when
+        it does not refine; the parallel engine shards them across
+        workers.  Unweighted single-set runs only.
         """
-        self._intra_leaf_distances(self.pyramid.leaf_level, cells=cells)
+        if self.weighted or self.cross_split is not None:
+            raise QueryError("row shards cover unweighted single-set runs")
+        positions = self.particles.positions
+        self._add_sweep(sweep_self, positions[begin:end], None)
+        if end < positions.shape[0]:
+            self._add_sweep(
+                sweep_cross, positions[begin:end], positions[end:], None, None
+            )
 
     # ------------------------------------------------------------------
     # Level geometry tables
@@ -439,7 +518,8 @@ class GridSDHEngine:
         """Exact integer weight sum per cell at a level (object array)."""
         if self._wsum_levels is None:
             leaf = exact.zero_ints(self.pyramid.leaf_starts.size - 1)
-            np.add.at(leaf, self._leaf_cell_ids(), self._w_obj_sorted)
+            w_sorted = self._w_obj[self.pyramid.order]
+            np.add.at(leaf, self._leaf_cell_ids(), w_sorted)
             self._wsum_levels = self._pool_leaf(leaf)
         return self._wsum_levels[level]
 
@@ -453,8 +533,9 @@ class GridSDHEngine:
             sides = self._sides_sorted
             leaf_a = exact.zero_ints(num)
             leaf_b = exact.zero_ints(num)
-            np.add.at(leaf_a, cells[~sides], self._w_obj_sorted[~sides])
-            np.add.at(leaf_b, cells[sides], self._w_obj_sorted[sides])
+            w_sorted = self._w_obj[self.pyramid.order]
+            np.add.at(leaf_a, cells[~sides], w_sorted[~sides])
+            np.add.at(leaf_b, cells[sides], w_sorted[sides])
             self._side_wsum_levels = (
                 self._pool_leaf(leaf_a), self._pool_leaf(leaf_b)
             )
@@ -498,82 +579,94 @@ class GridSDHEngine:
         w = self._weight_sums(level)
         return w[flat_a] * w[flat_b]
 
-    def _wrap_deltas(self, delta: np.ndarray) -> np.ndarray:
-        """Apply the minimum-image convention when periodic."""
-        if not self.periodic:
-            return delta
-        from ..geometry.distance import minimum_image
-
-        return minimum_image(
-            delta, np.asarray(self.particles.box.sides)
+    def _add_sweep(self, sweep, *operands) -> None:
+        """Add one whole-block sweep (:func:`sweep_self`/``_cross``)."""
+        hist, computed = sweep(
+            *operands,
+            self.spec,
+            self.policy,
+            self._fast_bin_width,
+            self._box_lengths,
+            self._kernel_backend,
+            self.distance_chunk,
         )
+        self.histogram.counts += hist.counts
+        self.stats.distance_computations += computed
 
-    def _bin_distances(self, distances: np.ndarray) -> None:
-        """Bin a batch of realized distances into the histogram."""
-        self.stats.distance_computations += distances.size
-        if self._fast_bin_width is not None:
-            # Same expression as UniformBuckets.bucket_of (truncation of
-            # a non-negative quotient == floor), so boundary-exact
-            # distances bin identically to the brute-force baseline.
-            idx = np.minimum(
-                (distances / self._fast_bin_width).astype(np.int64),
-                self.spec.num_buckets - 1,
-            )
-            self.histogram.counts += np.bincount(
-                idx, minlength=self.spec.num_buckets
-            )
+    def _dense_sweep(self) -> None:
+        """Compute every distance of the query in one sweep."""
+        if self.on_leaf_pairs is not None:
+            cells = np.flatnonzero(self.pyramid.counts(self.dense_level))
+            self.on_leaf_pairs(cells, cells)
+            a, b = np.triu_indices(cells.size, k=1)
+            if a.size:
+                self.on_leaf_pairs(cells[a], cells[b])
+        positions = self.particles.positions
+        weights = self.particles.weights
+        split = self.cross_split
+        if split is None:
+            self._add_sweep(sweep_self, positions, weights)
             return
-        self.histogram.add_counts(
-            self.spec.bin_counts_query(distances, policy=self.policy)
+        sides = (None, None) if weights is None else (
+            weights[:split], weights[split:]
+        )
+        self._add_sweep(
+            sweep_cross, positions[:split], positions[split:], *sides
         )
 
-    def _bin_pairs(
-        self, positions: np.ndarray, g1: np.ndarray, g2: np.ndarray
-    ) -> None:
-        """Resolve one enumerated particle-pair batch.
+    def _bin_slices(self, layout, starts_a, counts_a, starts_b, counts_b):
+        """Bin every point pair of the paired slices of a cell layout.
 
         Kernel-eligible queries (see ``kernels.fast_uniform_width``) go
-        through the selected backend, which fuses distance computation
-        and binning; anything else keeps the inline wrap/einsum path so
-        policy handling and custom buckets behave exactly as before.
+        through the selected backend in one call, which fuses distance
+        computation and binning.  Anything else computes the distances
+        of the same index blocks the way brute force's inline path does
+        and bins them through the bucket spec, so policy handling and
+        custom buckets behave exactly as there.
         """
-        if self.weighted:
-            if self._fast_bin_width is not None:
-                limbs, computed = (
-                    self._kernel_backend.bin_gathered_pairs_weighted(
-                        positions,
-                        self._w_sorted,
-                        g1,
-                        g2,
-                        self._fast_bin_width,
-                        self.spec.num_buckets,
-                        self._box_lengths,
-                    )
-                )
-                self.stats.distance_computations += computed
-                self._accum.add_limbs(limbs, computed)
-                return
-            delta = self._wrap_deltas(positions[g1] - positions[g2])
-            distances = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-            self.stats.distance_computations += distances.size
-            self._accum.bin_products(
-                distances, self._w_obj_sorted[g1], self._w_obj_sorted[g2]
+        positions = layout.positions
+        width = self._fast_bin_width
+        if width is not None and self.weighted:
+            if self._dense_weights is None:
+                self._dense_weights = self.particles.weights[layout.order]
+            limbs, computed = self._kernel_backend.bin_gathered_pairs_weighted(
+                positions, self._dense_weights, starts_a, starts_b, width,
+                self.spec.num_buckets, self._box_lengths,
+                counts_a=counts_a, counts_b=counts_b,
             )
-            return
-        if self._fast_bin_width is not None:
+            self._accum.add_limbs(limbs, computed)
+        elif width is not None:
             hist, computed = self._kernel_backend.bin_gathered_pairs(
-                positions,
-                g1,
-                g2,
-                self._fast_bin_width,
-                self.spec.num_buckets,
-                self._box_lengths,
+                positions, starts_a, starts_b, width, self.spec.num_buckets,
+                self._box_lengths, counts_a=counts_a, counts_b=counts_b,
             )
-            self.stats.distance_computations += computed
             self.histogram.counts += hist
-            return
-        delta = self._wrap_deltas(positions[g1] - positions[g2])
-        self._bin_distances(np.sqrt(np.einsum("ij,ij->i", delta, delta)))
+        else:
+            computed = 0
+            for ka, kb in numpy_backend.slice_blocks(
+                starts_a, counts_a, starts_b, counts_b, self.distance_chunk
+            ):
+                shape = np.broadcast_shapes(ka.shape, kb.shape)
+                ia = np.broadcast_to(ka, shape).ravel()
+                ib = np.broadcast_to(kb, shape).ravel()
+                delta = positions[ia] - positions[ib]
+                if self.periodic:
+                    delta = minimum_image(delta, self._box_lengths)
+                distances = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+                computed += distances.size
+                if self.weighted:
+                    self._accum.bin_products(
+                        distances,
+                        self._w_obj[layout.order[ia]],
+                        self._w_obj[layout.order[ib]],
+                    )
+                else:
+                    self.histogram.add_counts(
+                        self.spec.bin_counts_query(
+                            distances, policy=self.policy
+                        )
+                    )
+        self.stats.distance_computations += int(computed)
 
     # ------------------------------------------------------------------
     # Stage 1: intra-cell counts on the start map (Fig. 2 lines 3-5)
@@ -594,7 +687,7 @@ class GridSDHEngine:
                     # the level-independent global sum of squares.
                     w = self._weight_sums(start)
                     square = sum(
-                        (x * x for x in self._w_obj_sorted.tolist()), 0
+                        (x * x for x in self._w_obj.tolist()), 0
                     )
                     mass = (sum((w * w).tolist(), 0) - square) >> 1
                 self._accum.add_mass(0, mass)
@@ -623,41 +716,9 @@ class GridSDHEngine:
             )
             self._allocate(u, v, weights, context)
             return
-        # Exact mode with an oversized first map: compute intra-cell
-        # distances directly (start == leaf level by construction).
-        self._intra_leaf_distances(start)
-
-    def _intra_leaf_distances(
-        self, level: int, cells: np.ndarray | None = None
-    ) -> None:
-        if level != self.pyramid.leaf_level:
-            raise QueryError(
-                "direct intra-cell distances only happen on the leaf map"
-            )
-        counts = self.pyramid.counts(level)
-        if cells is None:
-            cells = np.flatnonzero(counts >= 2)
-        else:
-            cells = np.asarray(cells, dtype=np.int64)
-        if cells.size == 0:
-            return
-        if self.on_leaf_pairs is not None:
-            self.on_leaf_pairs(cells, cells)
-        starts = self.pyramid.leaf_starts
-        positions = self.pyramid.sorted_positions
-        for begin in range(0, cells.size, 4096):
-            block = cells[begin : begin + 4096]
-            c = counts[block].astype(np.int64)
-            for g1, g2 in expand_products(
-                starts[block], c, starts[block], c, self.distance_chunk
-            ):
-                keep = g1 < g2
-                if self._sides_sorted is not None:
-                    keep &= self._sides_sorted[g1] != self._sides_sorted[g2]
-                g1, g2 = g1[keep], g2[keep]
-                if g1.size == 0:
-                    continue
-                self._bin_pairs(positions, g1, g2)
+        # Exact runs start above the dense level, on the map
+        # start_level_for found, so the shortcut always applies to them.
+        raise AssertionError("exact run without the intra-cell shortcut")
 
     # ------------------------------------------------------------------
     # Stage 2: the level loop
@@ -789,9 +850,7 @@ class GridSDHEngine:
                     u_open, v_open, weights[open_mask], context
                 )
             else:
-                self._leaf_distances(
-                    flat_a[open_mask], flat_b[open_mask]
-                )
+                self._dense_pairs(flat_a[open_mask], flat_b[open_mask])
             return None
         return a_open, b_open
 
@@ -883,25 +942,38 @@ class GridSDHEngine:
             yield np.concatenate(buffer_a), np.concatenate(buffer_b)
 
     # ------------------------------------------------------------------
-    # Stage 3: leaf distances (Fig. 2 lines 7-11)
+    # Stage 3: dense-level distances (Fig. 2 lines 7-11)
     # ------------------------------------------------------------------
-    def _leaf_distances(self, a_ids: np.ndarray, b_ids: np.ndarray) -> None:
+    def _dense_pairs(self, a_ids: np.ndarray, b_ids: np.ndarray) -> None:
+        """Distances of the open cell pairs of the dense level.
+
+        Every cell is one slice of :meth:`GridPyramid.layout`, so a cell
+        pair is a slice pair.  A cross-set cell holds its side-A
+        particles before its side-B ones, so a cell pair is the two
+        slice pairs ``(A of a, B of b)`` and ``(B of a, A of b)``.
+        """
         if self.on_leaf_pairs is not None:
             self.on_leaf_pairs(a_ids, b_ids)
-        counts = self.pyramid.counts(self.pyramid.leaf_level)
-        starts = self.pyramid.leaf_starts
-        positions = self.pyramid.sorted_positions
-        c1 = counts[a_ids]
-        c2 = counts[b_ids]
-        for g1, g2 in expand_products(
-            starts[a_ids], c1, starts[b_ids], c2, self.distance_chunk
-        ):
-            if self._sides_sorted is not None:
-                keep = self._sides_sorted[g1] != self._sides_sorted[g2]
-                g1, g2 = g1[keep], g2[keep]
-                if g1.size == 0:
-                    continue
-            self._bin_pairs(positions, g1, g2)
+        level = self.dense_level
+        layout = self.pyramid.layout(level)
+        starts = layout.starts[:-1]
+        counts = self.pyramid.counts(level)
+        if self.cross_split is None:
+            self._bin_slices(
+                layout, starts[a_ids], counts[a_ids], starts[b_ids],
+                counts[b_ids],
+            )
+            return
+        na = self._side_counts(level)[0].astype(np.int64)
+        nb = counts - na
+        mid = starts + na
+        self._bin_slices(
+            layout,
+            np.concatenate((starts[a_ids], mid[a_ids])),
+            np.concatenate((na[a_ids], nb[a_ids])),
+            np.concatenate((mid[b_ids], starts[b_ids])),
+            np.concatenate((nb[b_ids], na[b_ids])),
+        )
 
     # ------------------------------------------------------------------
     def _allocate(
@@ -937,11 +1009,6 @@ class GridSDHEngine:
             if level is not None:
                 return level
         return self.pyramid.leaf_level
-
-
-# Backward-compatible alias: expand_products moved to repro.kernels.csr
-# so the kernel backends can share the CSR enumeration.
-_expand_products = expand_products
 
 
 def _pool_values(

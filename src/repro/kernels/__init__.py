@@ -19,10 +19,13 @@ a compiled implementation:
 Backends expose three functions with identical signatures, each
 returning ``(int64 histogram, number_of_distances)``:
 
-``bin_gathered_pairs(positions, idx_a, idx_b, width, nbins,
-box_lengths=None, chunk=...)``
-    Bin the distances of explicitly enumerated index pairs (the grid
-    engine's CSR cell-pair frontier).
+``bin_gathered_pairs(positions, starts_a, starts_b, width, nbins,
+box_lengths=None, chunk=..., counts_a=None, counts_b=None)``
+    Bin the distances between paired slices of ``positions``: pair
+    ``k`` covers ``counts_a[k]`` points from ``starts_a[k]`` against
+    ``counts_b[k]`` points from ``starts_b[k]`` (the grid engine's open
+    dense-level cell pairs, one call per batch).  Without counts every
+    slice holds one point, i.e. the index pairs are enumerated.
 ``bin_dense_self(positions, width, nbins, box_lengths=None, chunk=...)``
     All ``n(n-1)/2`` intra-set distances (brute force, tree leaves).
 ``bin_dense_cross(pos_a, pos_b, width, nbins, box_lengths=None,
@@ -63,13 +66,11 @@ See ``docs/KERNELS.md`` for the tiling design and install notes.
 from __future__ import annotations
 
 from ..errors import QueryError
-from .csr import expand_products
 
 __all__ = [
     "KERNEL_TIERS",
     "NUMBA_AVAILABLE",
     "available_kernel_tiers",
-    "expand_products",
     "fast_uniform_width",
     "get_backend",
     "resolve_kernel",

@@ -46,6 +46,7 @@ __all__ = [
     "zero_ints",
     "new_limbs",
     "BINCOUNT_PAIRS",
+    "ScatterScratch",
     "scatter_products",
     "normalize_limbs",
     "limbs_to_ints",
@@ -126,6 +127,34 @@ _LOW_PIECE = (1 << _PIECE_BITS) - 1
 _TOP_PIECE = 3 * _PIECE_BITS
 
 
+class ScatterScratch:
+    """Buffers of :func:`scatter_products`, reused across its calls.
+
+    A weighted kernel makes one per call and hands it to every tile's
+    scatter, so a tile allocates nothing of its own size: the pair keys,
+    the three partial products, one integer temporary and one float64
+    piece buffer are written in place (``out=`` ufuncs).  Fresh
+    tile-sized temporaries on every tile would be returned to the
+    allocator and faulted back in each time.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = int(capacity)
+        self.keys, self.p0, self.p1, self.p2, self.tmp = (
+            np.empty(self.capacity, dtype=np.int64) for _ in range(5)
+        )
+        self.piece = np.empty(self.capacity)
+
+    def views(self, shape: tuple) -> tuple[np.ndarray, ...]:
+        """The six buffers' leading elements, shaped like one tile."""
+        size = int(np.prod(shape))
+        return tuple(
+            buf[:size].reshape(shape)
+            for buf in (self.keys, self.p0, self.p1, self.p2, self.tmp,
+                        self.piece)
+        )
+
+
 def scatter_products(
     limbs: np.ndarray,
     bins: np.ndarray,
@@ -133,6 +162,7 @@ def scatter_products(
     shift_a: np.ndarray,
     mant_b: np.ndarray,
     shift_b: np.ndarray,
+    scratch: ScatterScratch | None = None,
 ) -> None:
     """Add exact pair products ``a * b`` into per-bucket limb rows.
 
@@ -152,29 +182,38 @@ def scatter_products(
 
     The ``a`` and ``b`` operands broadcast against ``bins``: a dense
     tile passes a column of row points and a row of column points.
+    ``scratch`` supplies the tile-sized buffers; without one (or with
+    one too small) they are allocated for this call.
     """
-    if not np.size(bins):
+    shape = np.shape(bins)
+    n = int(np.prod(shape))
+    if not n:
         return
+    if scratch is None or scratch.capacity < n:
+        scratch = ScatterScratch(n)
+    keys, p0, p1, p2, tmp, piece = scratch.views(shape)
     low_a, low_b = int(shift_a.min()), int(shift_b.min())
     spread = int(shift_a.max()) - low_a + int(shift_b.max()) - low_b
     width = spread + _TOP_PIECE + 1  # slots per bin: shifts + piece offsets
     size = limbs.shape[0] * width
-    keys = (bins * width + ((shift_a - low_a) + (shift_b - low_b))).ravel()
+    np.multiply(bins, width, out=keys)
+    keys += shift_a - low_a
+    keys += shift_b - low_b
     hi_a, lo_a = mant_a >> _PIECE_BITS, mant_a & _LOW_PIECE
     hi_b, lo_b = mant_b >> _PIECE_BITS, mant_b & _LOW_PIECE
-    p0 = (lo_a * lo_b).ravel()
-    p1 = (lo_a * hi_b + hi_a * lo_b).ravel()
-    p2 = (hi_a * hi_b).ravel()
-    pieces = (
-        p0 & _LOW_PIECE,
-        (p0 >> _PIECE_BITS) + (p1 & _LOW_PIECE),
-        (p1 >> _PIECE_BITS) + (p2 & _LOW_PIECE),
-        p2 >> _PIECE_BITS,
+    np.multiply(lo_a, lo_b, out=p0)
+    np.multiply(lo_a, hi_b, out=p1)
+    np.multiply(hi_a, lo_b, out=tmp)
+    p1 += tmp
+    np.multiply(hi_a, hi_b, out=p2)
+    keys, p0, p1, p2, tmp, piece = (
+        a.reshape(-1) for a in (keys, p0, p1, p2, tmp, piece)
     )
-    for start in range(0, keys.size, BINCOUNT_PAIRS):
+    for start in range(0, n, BINCOUNT_PAIRS):
         part = slice(start, start + BINCOUNT_PAIRS)
         sums = np.zeros(size + _TOP_PIECE)
-        for k, piece in enumerate(pieces):
+        for k in range(4):
+            _piece(k, p0[part], p1[part], p2[part], tmp[part], piece[part])
             at = k * _PIECE_BITS
             sums[at : at + size] += np.bincount(
                 keys[part], piece[part], minlength=size
@@ -183,6 +222,24 @@ def scatter_products(
             limbs, sums[:size].astype(np.int64).reshape(-1, width),
             low_a + low_b,
         )
+
+
+def _piece(k, p0, p1, p2, tmp, out) -> None:
+    """Piece ``k`` of the partial products, written to float64 ``out``.
+
+    The pieces are ``p0 & LOW``, ``(p0 >> 27) + (p1 & LOW)``,
+    ``(p1 >> 27) + (p2 & LOW)`` and ``p2 >> 27``: integers below
+    ``2**29`` in magnitude, so float64 holds them and their sum exactly.
+    """
+    if k == 0:
+        np.bitwise_and(p0, _LOW_PIECE, out=tmp)
+        np.copyto(out, tmp)
+        return
+    np.right_shift((p0, p1, p2)[k - 1], _PIECE_BITS, out=tmp)
+    np.copyto(out, tmp)
+    if k < 3:
+        np.bitwise_and((p1, p2)[k - 1], _LOW_PIECE, out=tmp)
+        out += tmp
 
 
 def _add_at_shifts(limbs: np.ndarray, totals: np.ndarray, lowest: int):

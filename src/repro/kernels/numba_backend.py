@@ -25,6 +25,7 @@ import numba
 from numba import njit, prange
 
 from . import exact
+from .numpy_backend import slice_arrays, slice_pair_total
 
 __all__ = [
     "NAME",
@@ -43,8 +44,8 @@ NAME = "numba"
 #: L1/L2 comfortably.
 BLOCK = 256
 
-#: Work-chunk multiplier for the gathered-pairs kernel: more chunks
-#: than threads smooths load imbalance from uneven pair batches.
+#: Work-chunk multiplier for the gathered-slices kernel: more chunks
+#: than threads smooths load imbalance from uneven slice pairs.
 _CHUNKS_PER_THREAD = 8
 
 
@@ -53,26 +54,29 @@ def _num_chunks(n_items: int) -> int:
 
 
 @njit(parallel=True, cache=True)
-def _gathered_pairs_kernel(
-    positions, idx_a, idx_b, width, nbins, box, periodic, nchunks
+def _gathered_slices_kernel(
+    positions, starts_a, counts_a, starts_b, counts_b, width, nbins, box,
+    periodic, nchunks,
 ):  # pragma: no cover - compiled
     hist = np.zeros((nchunks, nbins), dtype=np.int64)
-    n = idx_a.shape[0]
+    n = starts_a.shape[0]
     dim = positions.shape[1]
     for t in prange(nchunks):
         for p in range(t, n, nchunks):
-            a = idx_a[p]
-            b = idx_b[p]
-            d2 = 0.0
-            for ax in range(dim):
-                delta = positions[a, ax] - positions[b, ax]
-                if periodic:
-                    delta = delta - box[ax] * np.rint(delta / box[ax])
-                d2 += delta * delta
-            k = np.int64(np.sqrt(d2) / width)
-            if k >= nbins:
-                k = nbins - 1
-            hist[t, k] += 1
+            for a in range(starts_a[p], starts_a[p] + counts_a[p]):
+                for b in range(starts_b[p], starts_b[p] + counts_b[p]):
+                    d2 = 0.0
+                    for ax in range(dim):
+                        delta = positions[a, ax] - positions[b, ax]
+                        if periodic:
+                            delta = delta - box[ax] * np.rint(
+                                delta / box[ax]
+                            )
+                        d2 += delta * delta
+                    k = np.int64(np.sqrt(d2) / width)
+                    if k >= nbins:
+                        k = nbins - 1
+                    hist[t, k] += 1
     return hist
 
 
@@ -207,34 +211,36 @@ def _normalize_row(limbs):  # pragma: no cover - compiled
 
 
 @njit(parallel=True, cache=True)
-def _gathered_pairs_weighted_kernel(
-    positions, mant, shift, idx_a, idx_b, width, nbins, box, periodic,
-    nchunks, nlimbs, normalize_every,
+def _gathered_slices_weighted_kernel(
+    positions, mant, shift, starts_a, counts_a, starts_b, counts_b, width,
+    nbins, box, periodic, nchunks, nlimbs, normalize_every,
 ):  # pragma: no cover - compiled
     limbs = np.zeros((nchunks, nbins, nlimbs), dtype=np.int64)
-    n = idx_a.shape[0]
+    n = starts_a.shape[0]
     dim = positions.shape[1]
     for t in prange(nchunks):
         pending = 0
         for p in range(t, n, nchunks):
-            a = idx_a[p]
-            b = idx_b[p]
-            d2 = 0.0
-            for ax in range(dim):
-                delta = positions[a, ax] - positions[b, ax]
-                if periodic:
-                    delta = delta - box[ax] * np.rint(delta / box[ax])
-                d2 += delta * delta
-            k = np.int64(np.sqrt(d2) / width)
-            if k >= nbins:
-                k = nbins - 1
-            _scatter_product(
-                limbs[t], k, mant[a], shift[a], mant[b], shift[b]
-            )
-            pending += 1
-            if pending >= normalize_every:
-                _normalize_row(limbs[t])
-                pending = 0
+            for a in range(starts_a[p], starts_a[p] + counts_a[p]):
+                for b in range(starts_b[p], starts_b[p] + counts_b[p]):
+                    d2 = 0.0
+                    for ax in range(dim):
+                        delta = positions[a, ax] - positions[b, ax]
+                        if periodic:
+                            delta = delta - box[ax] * np.rint(
+                                delta / box[ax]
+                            )
+                        d2 += delta * delta
+                    k = np.int64(np.sqrt(d2) / width)
+                    if k >= nbins:
+                        k = nbins - 1
+                    _scatter_product(
+                        limbs[t], k, mant[a], shift[a], mant[b], shift[b]
+                    )
+                    pending += 1
+                    if pending >= normalize_every:
+                        _normalize_row(limbs[t])
+                        pending = 0
         _normalize_row(limbs[t])
     return limbs
 
@@ -326,25 +332,26 @@ def _dense_cross_weighted_kernel(
 def bin_gathered_pairs_weighted(
     positions: np.ndarray,
     weights: np.ndarray,
-    idx_a: np.ndarray,
-    idx_b: np.ndarray,
+    starts_a: np.ndarray,
+    starts_b: np.ndarray,
     width: float,
     nbins: int,
     box_lengths: np.ndarray | None = None,
     chunk: int = 2048,
+    counts_a: np.ndarray | None = None,
+    counts_b: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Weighted histogram of explicitly enumerated index pairs."""
+    """Weighted histogram of paired slices (see :func:`bin_gathered_pairs`)."""
     positions = _prep(positions)
-    idx_a = np.ascontiguousarray(idx_a, dtype=np.int64)
-    idx_b = np.ascontiguousarray(idx_b, dtype=np.int64)
+    slices = slice_arrays(starts_a, starts_b, counts_a, counts_b)
     mant, shift = exact.decompose(weights)
     box, periodic = _box_args(box_lengths, positions.shape[1])
-    limbs = _gathered_pairs_weighted_kernel(
-        positions, mant, shift, idx_a, idx_b, float(width), int(nbins),
-        box, periodic, _num_chunks(idx_a.shape[0]), exact.NLIMBS,
+    limbs = _gathered_slices_weighted_kernel(
+        positions, mant, shift, *slices, float(width), int(nbins),
+        box, periodic, _num_chunks(slices[0].shape[0]), exact.NLIMBS,
         _NORMALIZE_EVERY,
     )
-    return limbs.sum(axis=0), int(idx_a.shape[0])
+    return limbs.sum(axis=0), slice_pair_total(slices[1], slices[3])
 
 
 def bin_dense_self_weighted(
@@ -394,6 +401,8 @@ def _prep(positions: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(positions, dtype=np.float64)
 
 
+
+
 def _box_args(
     box_lengths: np.ndarray | None, dim: int
 ) -> tuple[np.ndarray, bool]:
@@ -409,23 +418,30 @@ def _box_args(
 
 def bin_gathered_pairs(
     positions: np.ndarray,
-    idx_a: np.ndarray,
-    idx_b: np.ndarray,
+    starts_a: np.ndarray,
+    starts_b: np.ndarray,
     width: float,
     nbins: int,
     box_lengths: np.ndarray | None = None,
     chunk: int = 2048,
+    counts_a: np.ndarray | None = None,
+    counts_b: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Histogram the distances of explicitly enumerated index pairs."""
+    """Histogram the distances between paired slices of ``positions``.
+
+    Pair ``k`` covers ``counts_a[k]`` points from ``starts_a[k]``
+    against ``counts_b[k]`` points from ``starts_b[k]``; without counts
+    every slice holds one point.  Each ``prange`` lane loops over a
+    stride of the slice pairs.
+    """
     positions = _prep(positions)
-    idx_a = np.ascontiguousarray(idx_a, dtype=np.int64)
-    idx_b = np.ascontiguousarray(idx_b, dtype=np.int64)
+    slices = slice_arrays(starts_a, starts_b, counts_a, counts_b)
     box, periodic = _box_args(box_lengths, positions.shape[1])
-    hist = _gathered_pairs_kernel(
-        positions, idx_a, idx_b, float(width), int(nbins),
-        box, periodic, _num_chunks(idx_a.shape[0]),
+    hist = _gathered_slices_kernel(
+        positions, *slices, float(width), int(nbins),
+        box, periodic, _num_chunks(slices[0].shape[0]),
     )
-    return hist.sum(axis=0), int(idx_a.shape[0])
+    return hist.sum(axis=0), slice_pair_total(slices[1], slices[3])
 
 
 def bin_dense_self(

@@ -36,8 +36,8 @@ __all__ = [
 NAME = "numpy"
 
 #: Default cap on the rows of one tile of the dense sweeps.  The
-#: gathered kernels accept ``chunk`` for signature parity and always
-#: batch :data:`TILE_PAIRS` pairs.
+#: gathered kernels apply it only to slice pairs larger than one tile,
+#: which they cut into row blocks.
 DEFAULT_CHUNK = 2048
 
 #: Pairs per tile.  One float64 tile buffer is 512 KiB, so the buffers
@@ -78,9 +78,10 @@ class _Tile:
 
         ``rows[k]`` and ``cols[k]`` hold axis ``k``'s coordinates and
         broadcast against each other: a ``(r, 1)`` column against a
-        ``(1, c)`` row for a dense tile, two gathered ``(p,)`` arrays
-        for enumerated pairs.  Pairs where ``dump`` is true get index
-        ``nbins``, one past the last bucket.
+        ``(1, c)`` row for a dense tile, an ``(m, ca, 1)`` block
+        against an ``(m, 1, cb)`` block for ``m`` slice pairs.  Pairs
+        where ``dump`` is true get index ``nbins``, one past the last
+        bucket.
         """
         shape = np.broadcast_shapes(rows[0].shape, cols[0].shape)
         size = int(np.prod(shape))
@@ -128,17 +129,70 @@ def _columns(positions: np.ndarray) -> list[np.ndarray]:
 # their weight mantissas with them).
 
 
-def _gathered_sweep(tile: _Tile, positions, idx_a, idx_b):
-    """Enumerated pairs, :data:`TILE_PAIRS` at a time.
+def slice_blocks(
+    starts_a: np.ndarray,
+    counts_a: np.ndarray,
+    starts_b: np.ndarray,
+    counts_b: np.ndarray,
+    chunk: int = DEFAULT_CHUNK,
+):
+    """Index blocks covering every point pair of the slice pairs.
 
-    Gathers read the strided axis views directly, so the caller's
-    positions are not copied per call.
+    Yields ``(keys_a, keys_b)``: an ``(m, na, 1)`` and an ``(m, 1, nb)``
+    int64 array of point indices that broadcast to at most
+    :data:`TILE_PAIRS` pairs.  Slice pairs are grouped by their
+    ``(na, nb)`` shape, so a batch of small cell pairs costs a few numpy
+    calls per shape instead of per pair; a slice pair larger than one
+    tile is cut into blocks of at most ``chunk`` rows on its own.
+    Every pair is swept with its longer slice last (see below).
     """
+    live = (counts_a > 0) & (counts_b > 0)
+    if not live.any():
+        return
+    sa, ca = starts_a[live], counts_a[live]
+    sb, cb = starts_b[live], counts_b[live]
+    # A pair's distance does not depend on its orientation (a negated
+    # delta squares, and wraps, to the same value), so every pair puts
+    # its longer slice last: the broadcast's inner loop runs over it,
+    # and about half as many shapes remain.
+    flip = ca > cb
+    sa, sb = np.where(flip, sb, sa), np.where(flip, sa, sb)
+    ca, cb = np.minimum(ca, cb), np.maximum(ca, cb)
+    shape_key = ca * (int(cb.max()) + 1) + cb
+    order = np.argsort(shape_key, kind="stable")
+    sa, ca, sb, cb = (x[order] for x in (sa, ca, sb, cb))
+    bounds = np.flatnonzero(np.diff(shape_key[order])) + 1
+    for lo, hi in zip(
+        np.concatenate(([0], bounds)), np.concatenate((bounds, [ca.size]))
+    ):
+        na, nb = int(ca[lo]), int(cb[lo])
+        if na * nb > TILE_PAIRS:
+            rows = max(1, min(chunk, na, TILE_PAIRS // nb))
+            step = TILE_PAIRS // rows
+            for a0, b0 in zip(sa[lo:hi].tolist(), sb[lo:hi].tolist()):
+                for i0 in range(a0, a0 + na, rows):
+                    ka = np.arange(i0, min(i0 + rows, a0 + na))
+                    for j0 in range(b0, b0 + nb, step):
+                        kb = np.arange(j0, min(j0 + step, b0 + nb))
+                        yield ka[None, :, None], kb[None, None, :]
+            continue
+        step = TILE_PAIRS // (na * nb)
+        offs_a = np.arange(na)[None, :, None]
+        offs_b = np.arange(nb)[None, None, :]
+        for begin in range(lo, hi, step):
+            end = min(begin + step, hi)
+            yield (
+                sa[begin:end, None, None] + offs_a,
+                sb[begin:end, None, None] + offs_b,
+            )
+
+
+def _slice_sweep(tile: _Tile, positions, slices, chunk: int):
+    """Tiles of :func:`slice_blocks`.  Gathers read the strided axis
+    views directly, so the caller's positions are not copied per call."""
     axes = np.asarray(positions, dtype=np.float64).T
-    for start in range(0, idx_a.shape[0], TILE_PAIRS):
-        ia = idx_a[start : start + TILE_PAIRS]
-        ib = idx_b[start : start + TILE_PAIRS]
-        yield tile.bins([c[ia] for c in axes], [c[ib] for c in axes]), ia, ib
+    for ka, kb in slice_blocks(*slices, chunk):
+        yield tile.bins([c[ka] for c in axes], [c[kb] for c in axes]), ka, kb
 
 
 def _self_sweep(tile: _Tile, positions: np.ndarray, chunk: int):
@@ -195,19 +249,43 @@ def _histogram(tile: _Tile, sweep) -> np.ndarray:
     return hist[: tile.nbins]
 
 
+def slice_arrays(starts_a, starts_b, counts_a=None, counts_b=None):
+    """``(starts_a, counts_a, starts_b, counts_b)`` as contiguous int64
+    arrays (both backends); absent counts mean slices of one point."""
+    ones = np.ones(np.shape(starts_a)[0], dtype=np.int64)
+    return tuple(
+        np.ascontiguousarray(ones if arr is None else arr, dtype=np.int64)
+        for arr in (starts_a, counts_a, starts_b, counts_b)
+    )
+
+
+def slice_pair_total(counts_a: np.ndarray, counts_b: np.ndarray) -> int:
+    """Point pairs of all slice pairs, as a Python int (it reaches JSON)."""
+    return int(np.dot(counts_a, counts_b)) if counts_a.size else 0
+
+
 def bin_gathered_pairs(
     positions: np.ndarray,
-    idx_a: np.ndarray,
-    idx_b: np.ndarray,
+    starts_a: np.ndarray,
+    starts_b: np.ndarray,
     width: float,
     nbins: int,
     box_lengths: np.ndarray | None = None,
     chunk: int = DEFAULT_CHUNK,
+    counts_a: np.ndarray | None = None,
+    counts_b: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Histogram the distances of explicitly enumerated index pairs."""
+    """Histogram the distances between paired slices of ``positions``.
+
+    Pair ``k`` covers every point of ``positions[starts_a[k]:][:counts_a[k]]``
+    against every point of ``positions[starts_b[k]:][:counts_b[k]]``.
+    Without counts every slice holds one point: the pairs
+    ``(starts_a[k], starts_b[k])`` are enumerated explicitly.
+    """
+    slices = slice_arrays(starts_a, starts_b, counts_a, counts_b)
     tile = _Tile(width, nbins, box_lengths)
-    sweep = _gathered_sweep(tile, positions, idx_a, idx_b)
-    return _histogram(tile, sweep), int(idx_a.shape[0])
+    sweep = _slice_sweep(tile, positions, slices, chunk)
+    return _histogram(tile, sweep), slice_pair_total(slices[1], slices[3])
 
 
 def bin_dense_self(
@@ -250,17 +328,20 @@ def bin_dense_cross(
 def _weighted(tile: _Tile, sweep, weights_a, weights_b=None) -> np.ndarray:
     """Exact limb sums of ``w_a * w_b`` per bucket, one tile at a time.
 
-    Limb row ``nbins`` collects the dumped pairs and is dropped.
+    Limb row ``nbins`` collects the dumped pairs and is dropped.  One
+    :class:`~repro.kernels.exact.ScatterScratch` serves every tile.
     """
     mant_a, shift_a = exact.decompose(weights_a)
     mant_b, shift_b = (
         (mant_a, shift_a) if weights_b is None else exact.decompose(weights_b)
     )
     limbs = exact.new_limbs(tile.nbins + 1)
+    scratch = exact.ScatterScratch(TILE_PAIRS)
     pending = 0
     for bins, ka, kb in sweep:
         exact.scatter_products(
-            limbs, bins, mant_a[ka], shift_a[ka], mant_b[kb], shift_b[kb]
+            limbs, bins, mant_a[ka], shift_a[ka], mant_b[kb], shift_b[kb],
+            scratch,
         )
         pending += bins.size
         if pending >= exact.SCATTER_LIMIT:
@@ -272,17 +353,21 @@ def _weighted(tile: _Tile, sweep, weights_a, weights_b=None) -> np.ndarray:
 def bin_gathered_pairs_weighted(
     positions: np.ndarray,
     weights: np.ndarray,
-    idx_a: np.ndarray,
-    idx_b: np.ndarray,
+    starts_a: np.ndarray,
+    starts_b: np.ndarray,
     width: float,
     nbins: int,
     box_lengths: np.ndarray | None = None,
     chunk: int = DEFAULT_CHUNK,
+    counts_a: np.ndarray | None = None,
+    counts_b: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Weighted histogram of explicitly enumerated index pairs."""
+    """Weighted histogram of paired slices (see :func:`bin_gathered_pairs`)."""
+    slices = slice_arrays(starts_a, starts_b, counts_a, counts_b)
     tile = _Tile(width, nbins, box_lengths)
-    sweep = _gathered_sweep(tile, positions, idx_a, idx_b)
-    return _weighted(tile, sweep, weights), int(idx_a.shape[0])
+    sweep = _slice_sweep(tile, positions, slices, chunk)
+    limbs = _weighted(tile, sweep, weights)
+    return limbs, slice_pair_total(slices[1], slices[3])
 
 
 def bin_dense_self_weighted(

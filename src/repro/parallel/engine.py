@@ -10,11 +10,12 @@ sum without rounding.  That makes the parallel decomposition exact:
 1. the parent builds (or receives) the pyramid and processes the first
    few coarse levels inline — there are too few pairs up there to be
    worth shipping — until the unresolved frontier is wide enough;
-2. the frontier pairs (and, when the start map is the leaf map, the
-   intra-cell leaf scans) are strided round-robin into tasks;
+2. the frontier pairs are strided round-robin into tasks (when the
+   grid engine would not refine, the rows of the whole-set dense sweep
+   are cut into bands of equal pair counts instead);
 3. each worker attaches the shared-memory coordinate arrays once
    (:mod:`repro.parallel.shm`), rebuilds a zero-copy pyramid view, and
-   drains its tasks down to the leaf level with the *same* engine code
+   drains its tasks down to the dense level with the *same* engine code
    the single-core path runs;
 4. the parent sums the per-task histograms and merges the
    :class:`~repro.core.instrumentation.SDHStats` — a pure, order-
@@ -136,17 +137,23 @@ def parallel_sdh(
         kernel=kernel,
     )
     start = engine._start_level()
-    leaf = pyramid.leaf_level
-    run_stats.start_level = start
-    run_stats.levels_visited = leaf - start + 1
-
+    dense = engine.dense_level
     num_tasks = workers * tasks_per_worker
     if fanout_pairs is None:
         fanout_pairs = 64 * num_tasks
 
-    tasks = list(_intra_tasks(engine, start, num_tasks))
-    tasks.extend(_frontier_tasks(engine, start, leaf, fanout_pairs,
-                                 num_tasks))
+    if not engine.refines_from(start):
+        # GridSDHEngine.run would sweep every pair densely.
+        tasks = list(_row_tasks(pyramid.particles.size, num_tasks))
+    else:
+        run_stats.start_level = start
+        run_stats.levels_visited = dense - start + 1
+        # The start map's intra-cell counts are a closed form, O(cells)
+        # arithmetic — never worth a process round-trip.
+        engine._intra_cell(start)
+        tasks = list(
+            _frontier_tasks(engine, start, dense, fanout_pairs, num_tasks)
+        )
     if not tasks:
         return engine.histogram
 
@@ -226,39 +233,30 @@ def parallel_sdh(
 # ----------------------------------------------------------------------
 # Parent-side sharding
 # ----------------------------------------------------------------------
-def _intra_tasks(
-    engine: GridSDHEngine, start: int, num_tasks: int
-) -> Iterable[tuple]:
-    """Intra-cell work: inline when it is a closed-form count, sharded
-    leaf scans otherwise."""
-    pyramid = engine.pyramid
-    shortcut = (
-        engine.spec.low == 0.0
-        and pyramid.cell_diagonal(start) <= float(engine.spec.edges[1])
+def _row_tasks(n: int, num_tasks: int) -> Iterable[tuple]:
+    """Row bands of the pair triangle holding about equal pair counts.
+
+    Row ``i`` holds the ``n - 1 - i`` pairs ``(i, j > i)``, so bands
+    widen down the triangle.
+    """
+    rows = np.arange(n + 1, dtype=np.int64)
+    before = rows * (2 * n - rows - 1) // 2  # pairs in rows [0, r)
+    total = int(before[-1])
+    if total == 0:
+        return
+    shards = min(num_tasks, n - 1)
+    cuts = np.searchsorted(
+        before, total * np.arange(1, shards) // shards, side="left"
     )
-    if shortcut:
-        # O(cells) arithmetic — never worth a process round-trip.
-        engine._intra_cell(start)
-        return
-    # Not a shortcut, so the start map is the leaf map (see
-    # GridSDHEngine._start_level) and intra-cell distances are computed
-    # directly.  Shard the occupied cells, largest first, round-robin —
-    # a cell costs ~count^2, so interleaving the sorted order keeps the
-    # shards even.
-    counts = pyramid.counts(pyramid.leaf_level)
-    cells = np.flatnonzero(counts >= 2)
-    if cells.size == 0:
-        return
-    cells = cells[np.argsort(-counts[cells], kind="stable")]
-    shards = min(int(cells.size), num_tasks)
-    for t in range(shards):
-        yield ("intra", cells[t::shards])
+    bounds = np.unique(np.concatenate(([0], cuts, [n])))
+    for begin, end in zip(bounds[:-1], bounds[1:]):
+        yield ("rows", int(begin), int(end))
 
 
 def _frontier_tasks(
     engine: GridSDHEngine,
     start: int,
-    leaf: int,
+    dense: int,
     fanout_pairs: int,
     num_tasks: int,
 ) -> Iterable[tuple]:
@@ -266,35 +264,20 @@ def _frontier_tasks(
 
     The parent resolves coarse-level pairs itself (they are few and
     cheap) and stops at the first level whose *unprocessed* expansion
-    reaches ``fanout_pairs`` pairs — or at the leaf map, whose pairs
+    reaches ``fanout_pairs`` pairs — or at the dense level, whose pairs
     always go to the workers.
-
-    When the start map already is the leaf map the pair triangle can be
-    enormous; instead of materializing it here, workers receive row
-    strides of the triangle and enumerate their own pairs (the shard
-    payload is two integers).
     """
-    if start == leaf:
-        occupied = int(
-            np.count_nonzero(engine.pyramid.counts(leaf))
-        )
-        if occupied < 2:
-            return
-        shards = min(num_tasks, occupied - 1)
-        for t in range(shards):
-            yield ("triangle", t, shards)
-        return
     level = start
     frontier: list[tuple[np.ndarray, np.ndarray]] = list(
         engine._start_pairs(start)
     )
-    while level < leaf and frontier:
+    while level < dense and frontier:
         total = sum(a.shape[0] for a, _ in frontier)
         if total >= fanout_pairs:
             break
         carry = []
         for idx_a, idx_b in frontier:
-            unresolved = engine._process_batch(level, idx_a, idx_b, leaf)
+            unresolved = engine._process_batch(level, idx_a, idx_b, dense)
             if unresolved is not None:
                 carry.append(unresolved)
         if not carry:
@@ -360,44 +343,10 @@ def _run_task(task: tuple) -> tuple[np.ndarray, SDHStats, float, int]:
     engine.histogram = DistanceHistogram(engine.spec)
     engine.stats = SDHStats()
     started = time.perf_counter()
-    if task[0] == "intra":
-        engine.process_intra_cells(task[1])
-    elif task[0] == "triangle":
-        _run_triangle(engine, task[1], task[2])
+    if task[0] == "rows":
+        engine.process_dense_rows(task[1], task[2])
     else:
         _, level, idx_a, idx_b = task
         engine.process_pairs(level, idx_a, idx_b)
     seconds = time.perf_counter() - started
     return engine.histogram.counts, engine.stats, seconds, os.getpid()
-
-
-def _run_triangle(engine: GridSDHEngine, t: int, shards: int) -> None:
-    """Resolve rows ``t, t+shards, ...`` of the leaf-map pair triangle.
-
-    Mirrors ``GridSDHEngine._start_pairs`` for the start==leaf case:
-    the worker enumerates unordered pairs (r, s>r) of occupied leaf
-    cells for its row stride, in blocks of ~pair_chunk pairs, so no
-    process ever holds the full triangle.
-    """
-    pyramid = engine.pyramid
-    level = pyramid.leaf_level
-    nonempty = np.flatnonzero(pyramid.counts(level))
-    c = nonempty.size
-    if c < 2:
-        return
-    idx = pyramid.decode(level, nonempty)
-    rows = np.arange(t, c - 1, shards, dtype=np.int64)
-    if rows.size == 0:
-        return
-    per_row = c - 1 - rows
-    ends = np.cumsum(per_row)
-    cuts = np.searchsorted(
-        ends, np.arange(engine.pair_chunk, ends[-1], engine.pair_chunk),
-        side="left",
-    )
-    bounds = np.unique(np.concatenate(([0], cuts + 1, [rows.size])))
-    for begin, end in zip(bounds[:-1], bounds[1:]):
-        block = rows[begin:end]
-        a_rows = np.repeat(block, per_row[begin:end])
-        b_rows = np.concatenate([np.arange(r + 1, c) for r in block])
-        engine.process_pairs(level, idx[a_rows], idx[b_rows])

@@ -12,11 +12,17 @@ their per-level counts agree cell by cell.
 Cells at level ``k`` form a ``2**k``-per-axis grid over the simulation
 box.  Flat cell ids are row-major over axes ``(x, y[, z])`` with x
 fastest, i.e. ``flat = ix + G * (iy + G * iz)``.
+
+:meth:`GridPyramid.layout` gives the particles of any level in that
+level's cell order, so every cell of the level is one contiguous slice
+(the cell lists of FCFC, see PAPERS.md); the exact engine sweeps its
+dense level from such slices.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +30,23 @@ from ..data.particles import ParticleSet
 from ..errors import TreeError
 from .tree import tree_height
 
-__all__ = ["GridPyramid"]
+__all__ = ["CellLayout", "GridPyramid"]
+
+
+@dataclass(frozen=True)
+class CellLayout:
+    """The particles sorted by the cells of one level.
+
+    Cell ``c`` owns slots ``starts[c]:starts[c + 1]``; slot ``k`` holds
+    particle ``order[k]`` of :attr:`GridPyramid.particles`, at
+    ``positions[k]``.  Within a cell, particles keep their dataset
+    order, so the two sides of a concatenated cross-set input (side A
+    first) form two consecutive sub-slices.
+    """
+
+    order: np.ndarray
+    positions: np.ndarray
+    starts: np.ndarray
 
 
 class GridPyramid:
@@ -50,6 +72,7 @@ class GridPyramid:
         self._particles = particles
         self._height = int(height)
         self._with_mbr = bool(with_mbr)
+        self._layouts: dict[int, CellLayout] = {}
         self._build()
 
     # ------------------------------------------------------------------
@@ -81,6 +104,7 @@ class GridPyramid:
         self._leaf_starts = np.asarray(leaf_starts, dtype=np.int64)
         self._sorted_positions = sorted_positions
         self._order = None  # identity by construction; never gathered
+        self._layouts = {}
         grid = 1 << (self._height - 1)
         dim = particles.dim
         if self._leaf_starts.size != grid**dim + 1:
@@ -202,6 +226,46 @@ class GridPyramid:
     def sorted_positions(self) -> np.ndarray:
         """Positions re-ordered by leaf cell (cache-friendly gathers)."""
         return self._sorted_positions
+
+    def layout(self, level: int) -> CellLayout:
+        """Particles in the cell order of ``level`` (built once, cached).
+
+        Cell membership comes from the leaf CSR (a level cell's index is
+        its leaf cells' index shifted right), so every slice holds
+        exactly the particles :meth:`counts` reports for its cell.  The
+        pyramid never changes after construction, so the cache needs no
+        invalidation; concurrent first calls may both build it, and
+        either result is the same.
+        """
+        self._check_level(level)
+        cached = self._layouts.get(level)
+        if cached is not None:
+            return cached
+        starts = self._leaf_starts
+        leaf_cells = np.repeat(
+            np.arange(starts.size - 1, dtype=np.int64), np.diff(starts)
+        )
+        cells = self.encode(
+            level, self.decode(self.leaf_level, leaf_cells)
+            >> (self.leaf_level - level)
+        )
+        if self._order is not None:  # back to dataset order
+            by_particle = np.empty_like(cells)
+            by_particle[self._order] = cells
+            cells = by_particle
+        order = np.argsort(cells, kind="stable").astype(np.int64)
+        level_starts = np.zeros(self.cells_per_axis(level) ** self.dim + 1,
+                                dtype=np.int64)
+        np.cumsum(self._counts[level], out=level_starts[1:])
+        cached = CellLayout(
+            order=order,
+            positions=np.ascontiguousarray(
+                self._particles.positions[order]
+            ),
+            starts=level_starts,
+        )
+        self._layouts[level] = cached
+        return cached
 
     # -- MBR arrays ------------------------------------------------------
     def mbr_lo(self, level: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.buckets import BucketSpec
-from ..core.dm_sdh_grid import GridSDHEngine
+from ..core.dm_sdh_grid import GridSDHEngine, dense_level
 from ..data.particles import ParticleSet
 from ..errors import StorageError
 from ..quadtree.grid import GridPyramid
@@ -103,13 +103,18 @@ def dm_sdh_io(
 ) -> IOReport:
     """Replay a real DM-SDH run's leaf-page accesses through a buffer.
 
-    Only leaf-level distance calculations touch particle data (cell
-    resolution reads the density maps, which are tiny — Sec. IV-B item
-    2 notes their I/O "will be much smaller"); the engine's
-    ``on_leaf_pairs`` hook captures exactly those accesses.
+    Only distance calculations touch particle data (cell resolution
+    reads the density maps, which are tiny — Sec. IV-B item 2 notes
+    their I/O "will be much smaller"); the engine's ``on_leaf_pairs``
+    hook captures exactly those accesses.  The engine computes
+    distances between the cells of its dense level, so the pages are
+    laid out by those cells: the pyramid's leaf must be the dense level
+    (the default pyramid is built that way).
     """
     if pyramid is None:
-        pyramid = GridPyramid(particles)
+        pyramid = GridPyramid(
+            particles, height=dense_level(particles.size, particles.dim) + 1
+        )
     layout = CellPageLayout(pyramid, page_size)
     counter = IOCounter()
     pool = BufferPool(buffer_pages, counter)
@@ -137,6 +142,11 @@ def dm_sdh_io(
             pool.get_many(_DATA_TAG, layout.pages_of_cell(int(b)))
 
     engine = GridSDHEngine(pyramid, spec=spec)
+    if engine.dense_level != pyramid.leaf_level:
+        raise StorageError(
+            f"pyramid leaf level {pyramid.leaf_level} is not the engine's "
+            f"dense level {engine.dense_level}"
+        )
     engine.on_leaf_pairs = observe
     engine.run()
     return IOReport(

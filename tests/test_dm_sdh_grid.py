@@ -1,5 +1,7 @@
 """Tests for repro.core.dm_sdh_grid internals and edge cases."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -12,62 +14,13 @@ from repro.core import (
     dm_sdh_grid,
     make_allocator,
 )
-from repro.core.dm_sdh_grid import _expand_products
-from repro.data import uniform
+from repro.core.brute_force import brute_force_cross_sdh
+from repro.data import ParticleSet, uniform
 from repro.errors import DistanceOverflowError, QueryError
 from repro.quadtree import GridPyramid
 
-
-class TestExpandProducts:
-    """The ragged CSR cross-product expansion (leaf distance kernel)."""
-
-    @staticmethod
-    def _collect(*args, **kwargs):
-        pairs = []
-        for g1, g2 in _expand_products(*args, **kwargs):
-            pairs.extend(zip(g1.tolist(), g2.tolist()))
-        return pairs
-
-    def test_basic(self):
-        pairs = set(
-            self._collect(
-                np.array([0, 5]),
-                np.array([2, 1]),
-                np.array([10, 20]),
-                np.array([2, 3]),
-                chunk=100,
-            )
-        )
-        assert pairs == {
-            (0, 10), (0, 11), (1, 10), (1, 11),
-            (5, 20), (5, 21), (5, 22),
-        }
-
-    def test_chunking_preserves_pairs(self):
-        args = (
-            np.array([0, 3, 9]),
-            np.array([3, 2, 4]),
-            np.array([100, 200, 300]),
-            np.array([2, 5, 3]),
-        )
-        big = self._collect(*args, chunk=1000)
-        small = self._collect(*args, chunk=4)
-        assert set(big) == set(small)
-        assert len(big) == len(small) == (3 * 2 + 2 * 5 + 4 * 3)
-
-    def test_zero_count_pairs_skipped(self):
-        pairs = self._collect(
-            np.array([0, 4, 9]),
-            np.array([2, 0, 1]),
-            np.array([10, 20, 30]),
-            np.array([1, 5, 2]),
-            chunk=3,
-        )
-        assert set(pairs) == {(0, 10), (1, 10), (9, 30), (9, 31)}
-
-    def test_empty(self):
-        empty = np.array([], dtype=np.int64)
-        assert self._collect(empty, empty, empty, empty, chunk=10) == []
+# The module, not the function repro.core re-exports under its name.
+grid_module = importlib.import_module("repro.core.dm_sdh_grid")
 
 
 class TestChunkInvariance:
@@ -202,13 +155,143 @@ class TestStats:
         )
 
     def test_levels_visited(self):
+        """Exact runs visit the maps from the start level down to the
+        dense level; ADM-SDH runs visit ``stop_after_levels`` maps below
+        the start map, capped at the pyramid leaf, as before."""
         data = uniform(1000, dim=2, rng=69)
         spec = UniformBuckets.with_count(data.max_possible_distance, 2)
+        pyramid = GridPyramid(data)
         stats = SDHStats()
-        dm_sdh_grid(data, spec=spec, stats=stats)
-        pyramid_height = GridPyramid(data).height
+        engine = GridSDHEngine(pyramid, spec=spec, stats=stats)
+        engine.run()
         assert stats.start_level is not None
-        assert (
-            stats.levels_visited
-            == pyramid_height - stats.start_level
+        assert stats.start_level < engine.dense_level < pyramid.leaf_level
+        assert stats.levels_visited == (
+            engine.dense_level - stats.start_level + 1
+        )
+        for stop in (0, 1, 10):
+            adm = SDHStats()
+            dm_sdh_grid(
+                pyramid, spec=spec, stats=adm, stop_after_levels=stop,
+                allocator=make_allocator("proportional"),
+            )
+            last = min(pyramid.leaf_level, adm.start_level + stop)
+            assert adm.levels_visited == last - adm.start_level + 1
+
+    def test_dense_sweep_when_nothing_resolves(self):
+        """Buckets narrower than every cell: one dense sweep, no maps."""
+        data = uniform(600, dim=2, rng=70)
+        spec = UniformBuckets.with_count(data.max_possible_distance, 256)
+        stats = SDHStats()
+        hist = dm_sdh_grid(data, spec=spec, stats=stats)
+        assert stats.start_level is None
+        assert stats.levels_visited == 0
+        assert stats.total_resolve_calls == 0
+        assert stats.distance_computations == data.num_pairs
+        assert type(stats.distance_computations) is int
+        np.testing.assert_array_equal(
+            hist.counts, brute_force_sdh(data, spec=spec).counts
+        )
+
+
+def _beta_for_level(n, dim, level):
+    """A ``DENSE_BETA`` that puts the dense level at ``level``."""
+    return n / 2 ** (dim * level) * 1.01 / 2 ** (dim - 2)
+
+
+class TestDenseLevel:
+    """Grid against brute force with the dense level D moved by
+    monkeypatching its beta: D at the start level and one map below it
+    (one dense sweep), two maps below it (the frontier stops mid-way)
+    and at the pyramid leaf.  The slice sweep must reproduce every
+    distance's bucket, so histograms are bit-identical."""
+
+    N = 1500
+
+    @pytest.fixture(params=["start", "below", "mid", "leaf"])
+    def dense_at(self, request, monkeypatch):
+        def place(data, spec, with_mbr=False, height=7, **kwargs):
+            pyramid = GridPyramid(data, height=height, with_mbr=with_mbr)
+            start = GridSDHEngine(pyramid, spec=spec, **kwargs)._start_level()
+            assert start + 3 == pyramid.leaf_level
+            target = start + ("start", "below", "mid", "leaf").index(
+                request.param
+            )
+            monkeypatch.setattr(
+                grid_module,
+                "DENSE_BETA",
+                _beta_for_level(data.size, data.dim, target),
+            )
+            stats = SDHStats()
+            engine = GridSDHEngine(pyramid, spec=spec, stats=stats, **kwargs)
+            assert engine.dense_level == target
+            hist = engine.run()
+            refined = request.param in ("mid", "leaf")
+            assert (stats.start_level is not None) == refined
+            assert stats.levels_visited == (target - start + 1) * refined
+            return hist
+
+        return place
+
+    def _data(self, seed, weights=False, dim=2, n=N):
+        data = uniform(n, dim=dim, rng=seed)
+        if weights:
+            w = np.random.default_rng(seed).uniform(-1.0, 3.0, data.size)
+            data = data.with_weights(w)
+        return data
+
+    def test_plain(self, dense_at):
+        data = self._data(81)
+        spec = UniformBuckets.with_count(data.max_possible_distance, 8)
+        np.testing.assert_array_equal(
+            dense_at(data, spec).counts,
+            brute_force_sdh(data, spec=spec).counts,
+        )
+
+    def test_weighted(self, dense_at):
+        data = self._data(82, weights=True)
+        spec = UniformBuckets.with_count(data.max_possible_distance, 8)
+        np.testing.assert_array_equal(
+            dense_at(data, spec).counts,
+            brute_force_sdh(data, spec=spec).counts,
+        )
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_cross(self, dense_at, weighted):
+        data = self._data(83, weights=weighted)
+        split = 600
+        a = data.select(np.arange(data.size) < split)
+        b = data.select(np.arange(data.size) >= split)
+        spec = UniformBuckets.with_count(data.max_possible_distance, 8)
+        np.testing.assert_array_equal(
+            dense_at(data, spec, cross_split=split).counts,
+            brute_force_cross_sdh(a, b, spec).counts,
+        )
+
+    def test_mbr(self, dense_at):
+        data = self._data(84)
+        spec = UniformBuckets.with_count(data.max_possible_distance, 8)
+        np.testing.assert_array_equal(
+            dense_at(data, spec, with_mbr=True, use_mbr=True).counts,
+            brute_force_sdh(data, spec=spec).counts,
+        )
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_periodic(self, dense_at, dim):
+        data = self._data(85, dim=dim)
+        spec = UniformBuckets.with_count(data.max_periodic_distance, 2)
+        np.testing.assert_array_equal(
+            dense_at(data, spec, height=6, periodic=True).counts,
+            brute_force_sdh(data, spec=spec, periodic=True).counts,
+        )
+
+    @pytest.mark.parametrize("policy", list(OverflowPolicy)[1:])
+    def test_short_spec_slow_path(self, dense_at, policy):
+        """A spec that misses the far distances is not kernel-eligible:
+        the open slices are binned through the spec and its policy."""
+        data = self._data(86, weights=True, n=500)  # exact ints per pair
+        spec = UniformBuckets(data.max_possible_distance / 6, 4)
+        np.testing.assert_array_equal(
+            dense_at(data, spec, policy=policy).counts,
+            brute_force_sdh(data, spec=spec, policy=policy).counts,
         )

@@ -120,6 +120,41 @@ class TestCSRLayout:
             pyramid.sorted_positions, data.positions[pyramid.order]
         )
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_level_layout_slices_hold_their_cells(self, dim):
+        """Every cell of a level is one slice of its layout, holding the
+        particles of that cell in dataset order."""
+        data = zipf_clustered(700, dim=dim, rng=11)
+        pyramid = GridPyramid(data)
+        for level in range(pyramid.height):
+            layout = pyramid.layout(level)
+            assert pyramid.layout(level) is layout
+            np.testing.assert_array_equal(
+                np.sort(layout.order), np.arange(data.size)
+            )
+            np.testing.assert_array_equal(
+                layout.positions, data.positions[layout.order]
+            )
+            np.testing.assert_array_equal(
+                np.diff(layout.starts), pyramid.counts(level)
+            )
+            leaf_ids = np.repeat(
+                np.arange(pyramid.leaf_starts.size - 1),
+                np.diff(pyramid.leaf_starts),
+            )
+            leaf_of = np.empty(data.size, dtype=np.int64)
+            leaf_of[pyramid.order] = leaf_ids
+            shift = pyramid.leaf_level - level
+            for cell in np.flatnonzero(pyramid.counts(level)):
+                members = layout.order[
+                    layout.starts[cell] : layout.starts[cell + 1]
+                ]
+                assert np.all(np.diff(members) > 0)
+                idx = pyramid.decode(pyramid.leaf_level, leaf_of[members])
+                np.testing.assert_array_equal(
+                    pyramid.encode(level, idx >> shift), cell
+                )
+
 
 class TestMBRArrays:
     def test_requires_flag(self):

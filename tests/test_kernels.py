@@ -321,6 +321,230 @@ class TestTiledSweeps:
             assert peak < bound, (n, peak)
 
 
+def _slice_pairs(starts_a, counts_a, starts_b, counts_b):
+    """Every point pair of the slice pairs, enumerated one by one."""
+    pairs = [
+        (i, j)
+        for s0, c0, s1, c1 in zip(starts_a, counts_a, starts_b, counts_b)
+        for i in range(s0, s0 + c0)
+        for j in range(s1, s1 + c1)
+    ]
+    idx = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return idx[:, 0], idx[:, 1]
+
+
+def _slice_reference(positions, slices, width, nbins, box_lengths=None):
+    idx_a, idx_b = _slice_pairs(*slices)
+    delta = positions[idx_a] - positions[idx_b]
+    return _reference_hist(delta, width, nbins, box_lengths)
+
+
+def _random_slices(rng, n_points, n_pairs, max_count):
+    counts_a = rng.integers(0, max_count + 1, n_pairs)
+    counts_b = rng.integers(0, max_count + 1, n_pairs)
+    starts_a = rng.integers(0, n_points - counts_a + 1)
+    starts_b = rng.integers(0, n_points - counts_b + 1)
+    return starts_a, counts_a, starts_b, counts_b
+
+
+def _gathered(backend, positions, slices, width, lengths=None, weights=None):
+    starts_a, counts_a, starts_b, counts_b = slices
+    args = (starts_a, starts_b, width, NBINS, lengths)
+    counts = {"counts_a": counts_a, "counts_b": counts_b}
+    if weights is None:
+        return backend.bin_gathered_pairs(positions, *args, **counts)
+    return backend.bin_gathered_pairs_weighted(
+        positions, weights, *args, **counts
+    )
+
+
+class TestGatheredSlices:
+    """The slice form of the gathered kernels against per-pair
+    references: pair ``k`` bins every point of slice ``a[k]`` against
+    every point of slice ``b[k]``."""
+
+    def test_basic(self):
+        positions = np.random.default_rng(1).random((30, 2))
+        slices = ([0, 5], [2, 1], [10, 20], [2, 3])
+        hist, total = _gathered(numpy_backend, positions, slices, 0.1)
+        expected, npairs = _slice_reference(positions, slices, 0.1, NBINS)
+        np.testing.assert_array_equal(hist, expected)
+        assert total == npairs == 2 * 2 + 1 * 3
+        assert type(total) is int
+
+    @pytest.mark.parametrize("tile", [16, 64])
+    def test_tiling_preserves_pairs(self, monkeypatch, tile):
+        # Shapes from 1x1 to 12x12 put ca*cb below, at and above the
+        # tile (those go through the cross sweep), and many pairs per
+        # shape put group boundaries inside and between tiles.
+        monkeypatch.setattr(numpy_backend, "TILE_PAIRS", tile)
+        rng = np.random.default_rng(tile)
+        positions = rng.random((200, 2))
+        slices = _random_slices(rng, 200, 300, 12)
+        expected, npairs = _slice_reference(positions, slices, 0.1, NBINS)
+        for chunk in (1, 5, numpy_backend.DEFAULT_CHUNK):
+            hist, total = numpy_backend.bin_gathered_pairs(
+                positions, slices[0], slices[2], 0.1, NBINS, chunk=chunk,
+                counts_a=slices[1], counts_b=slices[3],
+            )
+            np.testing.assert_array_equal(hist, expected)
+            assert total == npairs
+
+    def test_zero_count_slices_skipped(self):
+        positions = np.random.default_rng(2).random((40, 3))
+        slices = ([0, 4, 9], [2, 0, 1], [10, 20, 30], [1, 5, 2])
+        hist, total = _gathered(numpy_backend, positions, slices, 0.1)
+        expected, npairs = _slice_reference(positions, slices, 0.1, NBINS)
+        np.testing.assert_array_equal(hist, expected)
+        assert total == npairs == 2 + 2
+
+    def test_empty(self):
+        positions = np.zeros((3, 2))
+        empty = np.zeros(0, dtype=np.int64)
+        slices = (empty, empty, empty, empty)
+        hist, total = _gathered(numpy_backend, positions, slices, 0.1)
+        assert not hist.any() and total == 0 and type(total) is int
+        limbs, total = _gathered(
+            numpy_backend, positions, slices, 0.1, weights=np.ones(3)
+        )
+        assert not limbs.any() and total == 0 and type(total) is int
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_dims_and_periodic(self, dim, periodic):
+        rng = np.random.default_rng(10 * dim + periodic)
+        positions, lengths, width = _cloud(400, dim, dim, periodic)
+        slices = _random_slices(rng, 400, 500, 30)
+        expected, npairs = _slice_reference(
+            positions, slices, width, NBINS, lengths
+        )
+        hist, total = _gathered(
+            numpy_backend, positions, slices, width, lengths
+        )
+        np.testing.assert_array_equal(hist, expected)
+        assert total == npairs
+
+    def test_slice_pairs_above_one_tile(self):
+        # 300 x 300 points exceed TILE_PAIRS = 2**16 at the real size.
+        rng = np.random.default_rng(4)
+        positions, lengths, width = _cloud(1000, 2, 4, True)
+        slices = ([0, 10, 500], [300, 3, 300], [600, 700, 0], [300, 5, 2])
+        assert 300 * 300 > numpy_backend.TILE_PAIRS
+        expected, npairs = _slice_reference(
+            positions, slices, width, NBINS, lengths
+        )
+        hist, total = _gathered(
+            numpy_backend, positions, slices, width, lengths
+        )
+        np.testing.assert_array_equal(hist, expected)
+        weights = rng.uniform(-1.0, 2.0, 1000)
+        limbs, _ = _gathered(
+            numpy_backend, positions, slices, width, lengths, weights
+        )
+        assert list(exact.limbs_to_ints(limbs)) == _exact_slice_reference(
+            positions, weights, slices, width, lengths
+        )
+
+    @pytest.mark.parametrize("pass_pairs", [1, 5, 64])
+    def test_weighted_across_bincount_passes(self, monkeypatch, pass_pairs):
+        monkeypatch.setattr(exact, "BINCOUNT_PAIRS", pass_pairs)
+        rng = np.random.default_rng(pass_pairs)
+        positions = rng.random((80, 2))
+        weights = rng.normal(size=80) * 10.0 ** rng.integers(-300, 300, 80)
+        weights[::9] = 0.0
+        slices = _random_slices(rng, 80, 40, 6)
+        limbs, total = _gathered(
+            numpy_backend, positions, slices, 0.25, weights=weights
+        )
+        assert list(exact.limbs_to_ints(limbs)) == _exact_slice_reference(
+            positions, weights, slices, 0.25
+        )
+        assert total == int(np.dot(slices[1], slices[3]))
+
+    def test_enumerated_pairs_are_slices_of_one(self):
+        positions = np.random.default_rng(6).random((50, 2))
+        idx_a, idx_b = np.triu_indices(50, k=1)
+        ones = np.ones(idx_a.size, dtype=np.int64)
+        plain = numpy_backend.bin_gathered_pairs(
+            positions, idx_a, idx_b, 0.1, NBINS
+        )
+        sliced = numpy_backend.bin_gathered_pairs(
+            positions, idx_a, idx_b, 0.1, NBINS, counts_a=ones, counts_b=ones
+        )
+        np.testing.assert_array_equal(plain[0], sliced[0])
+        assert plain[1] == sliced[1] == idx_a.size
+
+    @pytest.mark.parametrize("tile", [16, numpy_backend.TILE_PAIRS])
+    def test_slice_blocks_cover_each_pair_once(self, monkeypatch, tile):
+        # The index blocks the engines' inline path bins: every point
+        # pair exactly once (up to orientation), no block over a tile.
+        monkeypatch.setattr(numpy_backend, "TILE_PAIRS", tile)
+        rng = np.random.default_rng(7)
+        slices = _random_slices(rng, 600, 200, 20)
+        # Plus one 300 x 300 pair, above every tile.
+        slices = tuple(
+            np.append(x, v) for x, v in zip(slices, (0, 300, 300, 300))
+        )
+        seen = []
+        for ka, kb in numpy_backend.slice_blocks(*slices, chunk=7):
+            shape = np.broadcast_shapes(ka.shape, kb.shape)
+            assert np.prod(shape) <= tile
+            seen.extend(zip(np.broadcast_to(ka, shape).ravel().tolist(),
+                            np.broadcast_to(kb, shape).ravel().tolist()))
+        idx_a, idx_b = _slice_pairs(*slices)
+        expected = sorted(
+            (min(i, j), max(i, j))
+            for i, j in zip(idx_a.tolist(), idx_b.tolist())
+        )
+        assert sorted((min(i, j), max(i, j)) for i, j in seen) == expected
+
+
+def _exact_slice_reference(positions, weights, slices, width, lengths=None):
+    """Per-bucket exact integer sums of the slice pairs, pair by pair."""
+    idx_a, idx_b = _slice_pairs(*slices)
+    delta = positions[idx_a] - positions[idx_b]
+    if lengths is not None:
+        delta = delta - lengths * np.round(delta / lengths)
+    distances = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+    bins = np.minimum((distances / width).astype(np.int64), NBINS - 1)
+    ints = exact.weight_ints(weights)
+    totals = [0] * NBINS
+    for b, i, j in zip(bins.tolist(), idx_a.tolist(), idx_b.tolist()):
+        totals[b] += ints[i] * ints[j]
+    return totals
+
+
+class TestDistanceCountsArePythonInts:
+    """Counts reach SDHStats and the JSON of /v1/stats: a numpy scalar
+    there is not serializable, so every kernel returns a Python int."""
+
+    def test_every_numpy_kernel(self):
+        positions = np.random.default_rng(8).random((20, 2))
+        weights = np.ones(20)
+        idx = np.arange(5)
+        results = [
+            numpy_backend.bin_gathered_pairs(positions, idx, idx + 5, 0.1, 8),
+            numpy_backend.bin_gathered_pairs(
+                positions, idx, idx + 5, 0.1, 8, counts_a=idx,
+                counts_b=idx,
+            ),
+            numpy_backend.bin_dense_self(positions, 0.1, 8),
+            numpy_backend.bin_dense_cross(positions[:7], positions[7:],
+                                          0.1, 8),
+            numpy_backend.bin_gathered_pairs_weighted(
+                positions, weights, idx, idx + 5, 0.1, 8
+            ),
+            numpy_backend.bin_dense_self_weighted(positions, weights,
+                                                  0.1, 8),
+            numpy_backend.bin_dense_cross_weighted(
+                positions[:7], positions[7:], weights[:7], weights[7:],
+                0.1, 8,
+            ),
+        ]
+        for _, total in results:
+            assert type(total) is int
+
+
 @numba_only
 class TestNumbaParity:
     """Bit-identity of the compiled tier against the numpy reference."""
@@ -375,6 +599,30 @@ class TestNumbaParity:
             data.positions, idx_a, idx_b, spec.width, NBINS
         )
         np.testing.assert_array_equal(hist, ref)
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_gathered_slices_identical(self, periodic):
+        rng = np.random.default_rng(55)
+        positions, lengths, width = _cloud(300, 3, 55, periodic)
+        slices = _random_slices(rng, 300, 400, 25)
+        ref, n_ref = _gathered(
+            get_backend("numpy"), positions, slices, width, lengths
+        )
+        hist, total = _gathered(
+            get_backend("numba"), positions, slices, width, lengths
+        )
+        np.testing.assert_array_equal(hist, ref)
+        assert total == n_ref and type(total) is int
+        weights = rng.uniform(-1.0, 2.0, 300)
+        ref, _ = _gathered(
+            get_backend("numpy"), positions, slices, width, lengths, weights
+        )
+        limbs, _ = _gathered(
+            get_backend("numba"), positions, slices, width, lengths, weights
+        )
+        np.testing.assert_array_equal(
+            exact.limbs_to_ints(limbs), exact.limbs_to_ints(ref)
+        )
 
 
 class TestEngineIntegration:

@@ -4,9 +4,9 @@ The whole value proposition of ``engine="parallel"`` is that its merge
 is *exact*: every partial count is an integral float64 far below 2^53,
 so summing per-worker histograms in any order reproduces the serial
 grid engine bit for bit.  These tests pin that across data families,
-periodic boundaries, restricted varieties, and the start==leaf
-(triangle-sharded) code path — and verify that no run, successful or
-failed, leaks a shared-memory segment.
+periodic boundaries, restricted varieties, and the nothing-resolves
+(row-band-sharded dense sweep) code path — and verify that no run,
+successful or failed, leaks a shared-memory segment.
 """
 
 import numpy as np
@@ -68,6 +68,24 @@ class TestBitIdentical:
         np.testing.assert_array_equal(reference.counts, hist.counts)
         _assert_same_stats(serial_stats, parallel_stats)
 
+    @pytest.mark.parametrize("buckets, frontier", [(2, True), (12, False)])
+    def test_stats_match_serial(self, buckets, frontier):
+        """Two buckets start two maps above the dense level (frontier
+        shards); twelve start below it (row bands of the dense sweep)."""
+        data = uniform(2000, dim=2, rng=15)
+        pyramid = GridPyramid(data)
+        spec = UniformBuckets.with_count(data.max_possible_distance, buckets)
+        serial_stats, parallel_stats = SDHStats(), SDHStats()
+        reference = dm_sdh_grid(pyramid, spec=spec, stats=serial_stats)
+        hist = parallel_sdh(
+            pyramid, spec=spec, workers=WORKERS, stats=parallel_stats,
+            fanout_pairs=1,
+        )
+        np.testing.assert_array_equal(reference.counts, hist.counts)
+        _assert_same_stats(serial_stats, parallel_stats)
+        assert (serial_stats.total_resolve_calls > 0) == frontier
+        assert type(parallel_stats.distance_computations) is int
+
     def test_periodic(self):
         data = uniform(1000, dim=3, rng=21)
         reference = compute_sdh(
@@ -81,7 +99,7 @@ class TestBitIdentical:
 
     def test_triangle_path_when_start_is_leaf(self):
         """Many narrow buckets force the start map down to the leaf map,
-        exercising the worker-enumerated triangle shards."""
+        below the dense level: workers sweep row bands of all pairs."""
         data = uniform(800, dim=2, rng=22)
         pyramid = GridPyramid(data)
         spec = UniformBuckets.with_count(data.max_possible_distance, 96)

@@ -188,8 +188,11 @@ class TestSDHQueryPlan:
         h = plan.histogram(spec=spec)
         np.testing.assert_array_equal(ref.counts, h.counts)
 
-    def test_stats_flow_through(self, data):
-        plan = SDHQuery(data)
+    def test_stats_flow_through(self):
+        # N=400 is below every size the grid engine refines at (it
+        # sweeps all pairs densely, with no resolve calls), so this
+        # plan holds enough particles for the frontier to run.
+        plan = SDHQuery(uniform(3000, dim=2, rng=19))
         stats = SDHStats()
         plan.histogram(num_buckets=4, stats=stats)
         assert stats.total_resolve_calls > 0
